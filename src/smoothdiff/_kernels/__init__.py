@@ -1,31 +1,91 @@
-"""Hot distance kernels with a compiled core and a NumPy fallback.
+"""Hot distance kernels: exact k-NN search and Chamfer, blocked over rows.
 
-The compiled extension is preferred when it was built; otherwise the NumPy
-reference implementation is used transparently. Set SMOOTHDIFF_PURE_PYTHON=1
-to force the fallback (used by the benchmark and the backend-agreement
-tests).
+Both kernels reproduce ``_reference`` bit for bit (same squared-distance
+rounding, same (distance, index) neighbour order, same Chamfer value) while
+holding only one block of rows against all points in memory at a time,
+instead of the reference's N x N x 3 difference array and full row sort.
 """
 
-import os
+import numpy as np
 
-from . import _reference
+from . import _reference  # the test oracle, reached as _kernels._reference
 
-if os.environ.get("SMOOTHDIFF_PURE_PYTHON", "") not in ("", "0"):
-    _impl = _reference
-    BACKEND = "python"
-else:
-    try:
-        from . import _core as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _reference
-        BACKEND = "python"
-
-knn_neighbors = _impl.knn_neighbors
-chamfer = _impl.chamfer
+# Rows of the squared-distance matrix computed at once; each temporary is
+# _BLOCK_ROWS x N float64.
+_BLOCK_ROWS = 64
 
 
 def backend_name():
-    """Name of the active kernel backend: "compiled" or "python"."""
-    return BACKEND
+    """Name of the kernel backend; the NumPy kernels are the only one."""
+    return "python"
+
+
+def _sqdist_rows(p, qt):
+    """Squared distances from the rows of p (b, 3) to the columns of qt (3, n).
+
+    Accumulated as (dx*dx + dy*dy) + dz*dz, the order of the reference, so
+    every entry rounds identically.
+    """
+    d = np.subtract(p[:, 0:1], qt[0])
+    d *= d
+    t = np.subtract(p[:, 1:2], qt[1])
+    t *= t
+    d += t
+    np.subtract(p[:, 2:3], qt[2], out=t)
+    t *= t
+    d += t
+    return d
+
+
+def _first_k_by_index(d2, t, k):
+    """Per row, the k columns with d2 < t plus the lowest-index ones with d2 == t."""
+    below = d2 < t
+    at = d2 == t
+    room = k - np.count_nonzero(below, axis=1)
+    keep = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+    return np.nonzero(keep)[1].reshape(len(d2), k)
+
+
+def knn_neighbors(points, k):
+    """Indices of the k nearest points for every point, self excluded.
+
+    Ties in distance are broken by the lower point index. Returns an
+    (N, k) int64 array.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    qt = np.ascontiguousarray(pts.T)
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        b = stop - start
+        d2 = _sqdist_rows(pts[start:stop], qt)
+        d2[np.arange(b), np.arange(start, stop)] = np.inf
+        # Some k smallest per row; t is the k-th smallest distance.
+        cols = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        t = np.take_along_axis(d2, cols[:, k - 1:], axis=1)
+        # Where more than k distances are <= t, the partition picked among
+        # ties at t arbitrarily: take the lowest indices instead.
+        tied = np.flatnonzero(np.count_nonzero(d2 <= t, axis=1) > k)
+        if tied.size:
+            cols[tied] = _first_k_by_index(d2[tied], t[tied], k)
+        # Index order first, then a stable sort on distance, gives the
+        # (distance, index) order.
+        cols.sort(axis=1)
+        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+        out[start:stop] = np.take_along_axis(cols, order, axis=1)
+    return out
+
+
+def chamfer(p, q):
+    """Symmetric squared-distance Chamfer between two point sets."""
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    qt = np.ascontiguousarray(np.asarray(q, dtype=np.float64).T)
+    row_min = np.empty(p.shape[0])
+    col_min = np.full(qt.shape[1], np.inf)
+    for start in range(0, p.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, p.shape[0])
+        d2 = _sqdist_rows(p[start:stop], qt)
+        d2.min(axis=1, out=row_min[start:stop])
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+    return float(row_min.mean() + col_min.mean())

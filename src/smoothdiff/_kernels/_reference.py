@@ -1,16 +1,18 @@
-"""NumPy reference implementations of the hot kernels.
+"""Plain NumPy reference implementations of the hot kernels.
 
-These define the semantics the compiled backend must reproduce: squared
-Euclidean distances accumulated coordinate-by-coordinate, neighbor ties broken
-by ascending point index, Chamfer terms averaged per direction.
+These define the semantics the blocked kernels in ``smoothdiff._kernels``
+must reproduce bit for bit: squared Euclidean distances accumulated
+coordinate by coordinate, neighbor ties broken by ascending point index,
+Chamfer terms averaged per direction. They hold full N x N x 3 temporaries
+and serve as the test oracle.
 """
 
 import numpy as np
 
 
 def _sqdist_matrix(p, q):
-    # Direct differences (not the |p|^2+|q|^2-2pq expansion) so both backends
-    # round identically and tie-breaking is reproducible.
+    # Direct differences (not the |p|^2+|q|^2-2pq expansion) so the blocked
+    # kernels round identically and tie-breaking is reproducible.
     diff = p[:, None, :] - q[None, :, :]
     return np.add.reduce(diff * diff, axis=-1)
 

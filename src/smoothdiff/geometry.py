@@ -102,9 +102,10 @@ def build_knn_graph(cloud, k):
 
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = neighbors.reshape(-1)
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    # lo * n + hi sorts like the pair (lo, hi), so one 1-D unique yields the
+    # lexicographically sorted edge set.
+    key = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    edges = np.stack(np.divmod(key, n), axis=1)
     return KnnGraph(k=k, n_nodes=n, neighbor_lists=neighbors, edge_set=edges)
 
 

@@ -38,22 +38,39 @@ def _check_sets(reference, generated):
         raise InvalidInputError("both cloud sets must be nonempty")
 
 
-def _cross_distances(reference, generated):
-    """Chamfer matrix with rows over reference clouds, columns generated."""
-    ref_pts = [_points(c) for c in reference]
-    gen_pts = [_points(c) for c in generated]
-    d = np.empty((len(ref_pts), len(gen_pts)))
-    for i, r in enumerate(ref_pts):
-        for j, g in enumerate(gen_pts):
-            d[i, j] = _kernels.chamfer(r, g)
+def _pooled_distances(reference, generated):
+    """Chamfer matrix over the pool: reference clouds first, then generated.
+
+    Each unordered pair is computed once; the diagonal is +inf so a cloud is
+    never its own nearest neighbor.
+    """
+    pool = [_points(c) for c in reference] + [_points(c) for c in generated]
+    n = len(pool)
+    d = np.empty((n, n))
+    np.fill_diagonal(d, np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = _kernels.chamfer(pool[i], pool[j])
     return d
+
+
+def _mmd(d, n_ref):
+    return float(d[:n_ref, n_ref:].min(axis=1).mean())
+
+
+def _cov(d, n_ref):
+    return float(np.unique(d[:n_ref, n_ref:].argmin(axis=0)).size) / n_ref
+
+
+def _one_nna(d, n_ref):
+    labels = np.arange(len(d)) >= n_ref
+    return float(np.mean(labels[d.argmin(axis=1)] == labels))
 
 
 def mmd(reference, generated):
     """Mean over reference clouds of the closest generated Chamfer distance."""
     _check_sets(reference, generated)
-    d = _cross_distances(reference, generated)
-    return float(d.min(axis=1).mean())
+    return _mmd(_pooled_distances(reference, generated), len(reference))
 
 
 def cov(reference, generated):
@@ -62,9 +79,7 @@ def cov(reference, generated):
     Argmin ties resolve to the lowest reference index.
     """
     _check_sets(reference, generated)
-    d = _cross_distances(reference, generated)
-    matched = np.unique(d.argmin(axis=0))
-    return float(matched.size) / len(reference)
+    return _cov(_pooled_distances(reference, generated), len(reference))
 
 
 def one_nna(reference, generated):
@@ -75,18 +90,7 @@ def one_nna(reference, generated):
     indistinguishable to this classifier.
     """
     _check_sets(reference, generated)
-    pool = [_points(c) for c in reference] + [_points(c) for c in generated]
-    n = len(pool)
-    if n < 2:
-        raise InvalidInputError("pooled set needs at least two clouds")
-    labels = np.array([0] * len(reference) + [1] * len(generated))
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = _kernels.chamfer(pool[i], pool[j])
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.argmin(axis=1)
-    return float(np.mean(labels[nearest] == labels))
+    return _one_nna(_pooled_distances(reference, generated), len(reference))
 
 
 def _mean_smoothness(clouds, k):
@@ -128,10 +132,12 @@ def evaluate_sets(reference, generated, knn_k=30):
     _check_sets(reference, generated)
     gt_s = _mean_smoothness(reference, knn_k)
     model_s = _mean_smoothness(generated, knn_k)
+    d = _pooled_distances(reference, generated)
+    n_ref = len(reference)
     return MetricReport(
-        mmd=mmd(reference, generated),
-        cov=cov(reference, generated),
-        one_nna=one_nna(reference, generated),
+        mmd=_mmd(d, n_ref),
+        cov=_cov(d, n_ref),
+        one_nna=_one_nna(d, n_ref),
         rs=abs(model_s - gt_s),
         gt_smoothness=gt_s,
         model_smoothness=model_s,

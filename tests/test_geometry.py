@@ -112,6 +112,21 @@ def test_edge_set_is_symmetric_closure(rng):
     assert edges == directed
 
 
+@pytest.mark.parametrize("kind", ["plane_grid", "random"])
+def test_edge_set_matches_row_unique(kind, rng):
+    # the 1-D key dedup must give exactly the sorted pairs of a row-wise unique
+    if kind == "plane_grid":
+        pts = generate_shape(ShapeSpec("plane_grid", 300)).points
+    else:
+        pts = rng.standard_normal((300, 3))
+    graph = build_knn_graph(pts, 12)
+    rows = np.repeat(np.arange(300), 12)
+    cols = graph.neighbor_lists.reshape(-1)
+    expected = np.unique(np.stack([np.minimum(rows, cols), np.maximum(rows, cols)], axis=1), axis=0)
+    assert graph.edge_set.dtype == np.int64
+    assert np.array_equal(graph.edge_set, expected)
+
+
 def test_knn_graph_parameter_bounds(rng):
     pts = rng.standard_normal((10, 3))
     with pytest.raises(InvalidParameterError):

@@ -1,28 +1,21 @@
-"""Backend-agreement tests for the distance kernels.
+"""Tests for the blocked distance kernels.
 
-The compiled extension and the NumPy fallback must agree exactly on neighbor
-indices and to tight relative tolerance on Chamfer values (the only permitted
-difference is float summation order in the final mean).
+The kernels must agree exactly with the plain NumPy reference in
+``smoothdiff._kernels._reference``: identical neighbor index lists,
+(distance, index) tie order included, and bit-identical Chamfer values.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from smoothdiff import backend_name
-from smoothdiff._kernels import _reference, chamfer, knn_neighbors
+from smoothdiff._kernels import _BLOCK_ROWS, _reference, _sqdist_rows, chamfer, knn_neighbors
 
 from conftest import brute_force_knn
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-
 
 def test_active_backend_reported():
-    assert backend_name() in ("compiled", "python")
+    assert backend_name() == "python"
 
 
 def test_knn_matches_brute_force(rng):
@@ -68,41 +61,26 @@ def test_chamfer_identity_and_symmetry(rng):
     assert chamfer(p, q) == pytest.approx(chamfer(q, p), rel=1e-15)
 
 
-def test_backends_agree_in_process(rng):
-    # the reference module is importable regardless of which backend won,
-    # so cross-check the active backend against it directly
-    pts = rng.standard_normal((64, 3))
-    other = rng.standard_normal((48, 3))
-    for k in (1, 5, 12):
-        assert np.array_equal(knn_neighbors(pts, k), _reference.knn_neighbors(pts, k))
-    c_active = chamfer(pts, other)
-    c_ref = _reference.chamfer(pts, other)
-    assert c_active == pytest.approx(c_ref, rel=1e-12)
-
-
-@pytest.mark.skipif(backend_name() != "compiled", reason="compiled backend not built")
-def test_pure_python_env_forces_fallback(rng):
-    pts = rng.standard_normal((32, 3)).tolist()
-    script = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "import smoothdiff\n"
-        "from smoothdiff._kernels import knn_neighbors, chamfer\n"
-        "pts = np.array(json.loads(sys.argv[1]))\n"
-        "print(json.dumps({'backend': smoothdiff.backend_name(),"
-        " 'nbrs': knn_neighbors(pts, 4).tolist(),"
-        " 'chamfer': chamfer(pts, pts[::-1])}))\n"
-    )
-    env = dict(os.environ, SMOOTHDIFF_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(pts)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    payload = json.loads(out.stdout)
-    assert payload["backend"] == "python"
-    arr = np.array(pts)
-    assert payload["nbrs"] == knn_neighbors(arr, 4).tolist()
-    assert payload["chamfer"] == pytest.approx(chamfer(arr, arr[::-1]), rel=1e-12)
+def test_kernels_match_reference_exactly(rng):
+    n = 3 * _BLOCK_ROWS + 5  # spans several blocks, the last one partial
+    # a grid of spacing 1/16 keeps every squared distance exact, so equal
+    # distances are real ties
+    side = np.arange(16) / 16.0
+    grid = np.stack(np.meshgrid(side, side, [0.25], indexing="ij"), axis=-1).reshape(-1, 3)[:n]
+    cases = [
+        ("plane_grid", grid),
+        ("coarse_lattice", np.round(4.0 * rng.standard_normal((n, 3))) / 4.0),
+        ("duplicated", np.repeat(rng.standard_normal((n // 4 + 1, 3)), 4, axis=0)[:n]),
+        ("normal", rng.standard_normal((n, 3))),
+        ("normal_small", rng.standard_normal((_BLOCK_ROWS // 2 + 3, 3))),
+    ]
+    for name, pts in cases:
+        for k in (1, 30, len(pts) - 1):
+            got = knn_neighbors(pts, k)
+            assert got.dtype == np.int64, name
+            assert np.array_equal(got, _reference.knn_neighbors(pts, k)), (name, k)
+    for (name_p, p), (name_q, q) in zip(cases, cases[1:] + cases[:1]):
+        # every squared distance rounds as in the reference, not only the minima
+        assert np.array_equal(_sqdist_rows(p, q.T.copy()), _reference._sqdist_matrix(p, q))
+        assert chamfer(p, q) == _reference.chamfer(p, q), (name_p, name_q)
+        assert chamfer(q, p) == _reference.chamfer(q, p), (name_q, name_p)

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import smoothdiff
 from smoothdiff import (
     InvalidInputError,
     build_knn_graph,
@@ -131,9 +132,15 @@ def test_empty_sets_rejected(rng):
         one_nna([], [])
 
 
-def test_evaluate_sets_consistent_with_parts(rng):
+def test_evaluate_sets_consistent_with_parts(rng, monkeypatch):
     ref, gen = make_sets(rng, n_ref=5, n_gen=5, n_points=14)
+    calls = []
+    kernel = smoothdiff._kernels.chamfer
+    monkeypatch.setattr(smoothdiff._kernels, "chamfer", lambda p, q: calls.append(1) or kernel(p, q))
     report = evaluate_sets(ref, gen, knn_k=4)
+    # one pooled matrix: each unordered pair of the 10 clouds exactly once
+    assert len(calls) == 10 * 9 // 2
+    monkeypatch.undo()
     assert report.mmd == mmd(ref, gen)
     assert report.cov == cov(ref, gen)
     assert report.one_nna == one_nna(ref, gen)
