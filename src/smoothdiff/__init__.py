@@ -56,10 +56,8 @@ from .pointio import read_cloud_dir, read_xyz, write_xyz
 from .sampler import (
     SamplerConfig,
     Trajectory,
-    constrained_reverse_step,
     constraint_gradient,
     generate,
-    reverse_step,
     sample_latent,
     tweedie_denoise,
 )
@@ -72,10 +70,6 @@ from .score_models import (
     PointEncoder,
     ScoreField,
     build_models,
-    decoder_score,
-    encoder_forward,
-    gmm_perturbed_score,
-    latent_score,
     reparameterize,
     time_embedding,
 )
@@ -137,10 +131,8 @@ __all__ = [
     "write_xyz",
     "SamplerConfig",
     "Trajectory",
-    "constrained_reverse_step",
     "constraint_gradient",
     "generate",
-    "reverse_step",
     "sample_latent",
     "tweedie_denoise",
     "GaussianMixtureScore",
@@ -151,10 +143,6 @@ __all__ = [
     "PointEncoder",
     "ScoreField",
     "build_models",
-    "decoder_score",
-    "encoder_forward",
-    "gmm_perturbed_score",
-    "latent_score",
     "reparameterize",
     "time_embedding",
     "EPS_T",

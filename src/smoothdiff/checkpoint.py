@@ -15,6 +15,7 @@ keys are preserved and returned, which leaves room for additions without a
 version bump.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -40,7 +41,7 @@ _FLOAT_KEYS = ("beta_min", "beta_max")
 
 
 def save_checkpoint(path, bundle, schedule, trained_epochs=0, extra=None):
-    """Write the bundle, schedule, and epoch counter to path."""
+    """Write the bundle, schedule, and epoch counter to path, atomically."""
     header = {
         "latent_dim": str(bundle.latent_dim),
         "encoder_width": str(bundle.encoder.feature_width),
@@ -66,8 +67,17 @@ def save_checkpoint(path, bundle, schedule, trained_epochs=0, extra=None):
         arr = np.ascontiguousarray(params, dtype="<f8")
         chunks.append(struct.pack("<Q", arr.size))
         chunks.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # Write a sibling temp file and rename it over path, so an interrupted
+    # save leaves the previous checkpoint in place.
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -43,7 +43,7 @@ from .geometry import ShapeSpec, generate_shape
 from .metrics import _mean_smoothness, evaluate_sets, write_metrics_csv
 from .pointio import read_cloud_dir, write_xyz
 from .sampler import SamplerConfig, generate, tweedie_denoise
-from .score_models import GaussianMixtureScore, build_models, gmm_perturbed_score
+from .score_models import GaussianMixtureScore, build_models
 from .training import train
 
 MODE_FLAG_MAP = {"off": "off", "frozen": "frozen_score", "exact": "exact_chain"}
@@ -368,7 +368,7 @@ def cmd_denoise_demo(args, cfg):
     field = GaussianMixtureScore(means, 0.5, weights / weights.sum(), schedule)
     t = 0.4
     xt = rng.standard_normal((10, 3))
-    score = gmm_perturbed_score(field, xt, t)
+    score = field.evaluate(xt, None, t)
     h = 1e-5
     fd = np.zeros_like(xt)
     for i in range(xt.shape[0]):

@@ -11,7 +11,7 @@ cannot differentiate themselves raise the unsupported-mode error).
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,29 +109,6 @@ def tweedie_denoise(xt, score, t, schedule):
     return (xt + b * b * score) / a
 
 
-def _euler_step(x, score, t, dt, schedule, noise):
-    g = schedule.sde_diffusion(t)
-    drift = schedule.sde_drift(x, t) - g * g * score
-    out = x - drift * dt + g * np.sqrt(dt) * noise
-    if not np.all(np.isfinite(out)):
-        raise NumericalAbortError(f"non-finite state after reverse step at t={t}")
-    return out
-
-
-def reverse_step(x, field, z, t, dt, schedule, noise):
-    """One unconstrained Euler-Maruyama step of the reverse SDE."""
-    x = np.asarray(x, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if x.shape != noise.shape:
-        raise InvalidInputError("state and noise shapes must match")
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    score = np.asarray(field.evaluate(x, z, t), dtype=np.float64)
-    if score.shape != x.shape:
-        raise InvalidInputError("score shape does not match the state")
-    return _euler_step(x, score, t, dt, schedule, noise)
-
-
 def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None):
     """Gradient of trace(Xhat^T L Xhat) with respect to the noisy state.
 
@@ -159,38 +136,51 @@ def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None):
     return (g_hat + b * b * vjp) / a
 
 
-def constrained_reverse_step(x, field, z, t, dt, schedule, config, noise,
-                             laplacian=None):
-    """Reverse step plus the smoothness correction when it is active.
+def _reverse_chain(field, z, shape, schedule, config, rng, what):
+    """Euler-Maruyama from t = 1 down to t_floor, from a standard-normal state.
 
-    When no Laplacian is supplied and the constraint is active, one is built
-    from the Tweedie-denoised state at the sampler's knn_k. With alpha = 0 or
-    mode "off" the result is bitwise identical to reverse_step.
+    Each step evaluates the score, refreshes the Tweedie-denoised estimate and
+    its graph when the constraint is active or the trajectory is recorded,
+    takes the Euler step, and subtracts alpha times the constraint gradient
+    while t <= t_constraint. Returns (final state, trajectory rows or None).
+    A non-finite state aborts with the step, t and `what` in the message.
     """
-    x = np.asarray(x, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    score = np.asarray(field.evaluate(x, z, t), dtype=np.float64)
-    out = _euler_step(x, score, t, dt, schedule, noise)
-    if config.constrained and t <= config.t_constraint:
-        if laplacian is None:
+    dt = (1.0 - config.t_floor) / config.n_steps
+    x = rng.standard_normal(shape)
+    lap = None
+    rows = [] if config.record_trajectory else None
+    for k in range(config.n_steps):
+        t = 1.0 - k * dt
+        score = np.asarray(field.evaluate(x, z, t), dtype=np.float64)
+        if score.shape != x.shape:
+            raise InvalidInputError("score shape does not match the state")
+        active = config.constrained and t <= config.t_constraint
+        if active or rows is not None:
             xhat = tweedie_denoise(x, score, t, schedule)
-            laplacian = build_laplacian(build_knn_graph(xhat, config.knn_k))
-        grad = constraint_gradient(
-            x, field, z, t, laplacian, config.constraint_mode, schedule, score=score
-        )
-        out = out - config.alpha * grad
-    return out
+            if lap is None or k % config.graph_refresh_stride == 0:
+                lap = build_laplacian(build_knn_graph(xhat, config.knn_k))
+            if rows is not None:
+                rows.append((k, t, smoothness(xhat, lap)))
+        g = schedule.sde_diffusion(t)
+        drift = schedule.sde_drift(x, t) - g * g * score
+        x_next = x - drift * dt + g * np.sqrt(dt) * rng.standard_normal(shape)
+        if active:
+            grad = constraint_gradient(
+                x, field, z, t, lap, config.constraint_mode, schedule, score=score
+            )
+            x_next = x_next - config.alpha * grad
+        x = x_next
+        if not np.all(np.isfinite(x)):
+            raise NumericalAbortError(f"step {k}, t={t!r}: non-finite {what}")
+    return x, rows
 
 
 def sample_latent(field, schedule, config, rng):
     """Unconstrained reverse chain in latent space; returns the final code."""
-    zt = rng.standard_normal(field.latent_dim)
-    dt = (1.0 - config.t_floor) / config.n_steps
-    for k in range(config.n_steps):
-        t = 1.0 - k * dt
-        zt = reverse_step(zt, field, None, t, dt, schedule,
-                          rng.standard_normal(field.latent_dim))
-    return zt
+    config = replace(config, constraint_mode="off", record_trajectory=False)
+    return _reverse_chain(
+        field, None, (field.latent_dim,), schedule, config, rng, "latent code"
+    )[0]
 
 
 def generate(field, schedule, config, n_clouds, n_points, latent_field=None,
@@ -219,7 +209,6 @@ def generate(field, schedule, config, n_clouds, n_points, latent_field=None,
                 f"latents must be ({n_clouds}, d), got {latents.shape}"
             )
 
-    dt = (1.0 - config.t_floor) / config.n_steps
     streams = np.random.SeedSequence(config.seed).spawn(n_clouds)
     clouds = []
     trajectories = [] if config.record_trajectory else None
@@ -229,34 +218,16 @@ def generate(field, schedule, config, n_clouds, n_points, latent_field=None,
         if latents is not None:
             z = latents[i]
         elif latent_field is not None:
-            z = sample_latent(latent_field, schedule, config, rng)
+            try:
+                z = sample_latent(latent_field, schedule, config, rng)
+            except NumericalAbortError as exc:
+                raise NumericalAbortError(f"{exc} of cloud {i}") from exc
         else:
             z = None
 
-        x = rng.standard_normal((n_points, 3))
-        lap = None
-        rows = []
-        for k in range(config.n_steps):
-            t = 1.0 - k * dt
-            score = np.asarray(field.evaluate(x, z, t), dtype=np.float64)
-            active = config.constrained and t <= config.t_constraint
-            if active or config.record_trajectory:
-                xhat = tweedie_denoise(x, score, t, schedule)
-                if lap is None or k % config.graph_refresh_stride == 0:
-                    lap = build_laplacian(build_knn_graph(xhat, config.knn_k))
-                if config.record_trajectory:
-                    rows.append((k, t, smoothness(xhat, lap)))
-            x_next = _euler_step(x, score, t, dt, schedule,
-                                 rng.standard_normal((n_points, 3)))
-            if active:
-                grad = constraint_gradient(
-                    x, field, z, t, lap, config.constraint_mode, schedule,
-                    score=score,
-                )
-                x_next = x_next - config.alpha * grad
-            x = x_next
-            if not np.all(np.isfinite(x)):
-                raise NumericalAbortError(f"non-finite state at step {k}")
+        x, rows = _reverse_chain(
+            field, z, (n_points, 3), schedule, config, rng, f"state of cloud {i}"
+        )
         if config.terminal_denoise:
             score = field.evaluate(x, z, config.t_floor)
             x = tweedie_denoise(x, score, config.t_floor, schedule)

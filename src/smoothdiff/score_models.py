@@ -4,10 +4,12 @@ A score field maps (noisy state, optional latent code, time) to an estimate
 of grad log p_t. Three learned networks cover the generative model: a
 permutation-invariant point cloud encoder producing a Gaussian posterior over
 the latent code, a per-point conditional score net for the decoder, and a
-dense residual net for the latent prior. All parameters live in flat float64
-vectors and every network implements explicit reverse-mode backprop, so
-gradients are checkable against finite differences without a framework
-dependency.
+score net for the latent prior. The two score nets are one residual MLP over
+rows of (state, time embedding): the decoder runs one row per point with the
+latent code joining every block, the latent prior runs its code as a single
+row with no conditioning. All parameters live in flat float64 vectors and
+every network implements explicit reverse-mode backprop, so gradients are
+checkable against finite differences without a framework dependency.
 """
 
 import abc
@@ -17,7 +19,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedModeError
-from .geometry import PointCloud
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 4.0
@@ -60,8 +61,20 @@ class _Layout:
         return params[off : off + int(np.prod(shape))].reshape(shape)
 
 
-def _init_params(layout, rng, zero_names=()):
-    """He-style init: weights N(0, 1/fan_in), biases zero, listed slots zero."""
+def _make_params(layout, params, rng, zero_names=()):
+    """Validated copy of params, or a fresh draw from rng (default seed 0).
+
+    The fresh draw is He-style: weights N(0, 1/fan_in), biases zero, and the
+    slots listed in zero_names zero.
+    """
+    if params is not None:
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (layout.size,):
+            raise InvalidInputError(
+                f"expected {layout.size} parameters, got {params.shape}"
+            )
+        return params.copy()
+    rng = rng if rng is not None else np.random.default_rng(0)
     params = np.zeros(layout.size)
     for name, (off, shape) in layout.slots.items():
         if name in zero_names or len(shape) == 1:
@@ -158,52 +171,42 @@ class GaussianMixtureScore(ScoreField):
         return out[0] if squeeze else out
 
 
-def gmm_perturbed_score(model, xt, t):
-    """Score of the VP-perturbed mixture marginal at time t."""
-    return model.evaluate(xt, None, t)
+class _ResidualMlp(ScoreField):
+    """Residual MLP over rows of (state, time embedding), shared by both score nets.
 
-
-class MlpScoreNet(ScoreField):
-    """Per-point conditional score network for the decoder.
-
-    Each point runs through the same residual MLP: the input is the point's
-    coordinates concatenated with a sinusoidal time embedding, and the latent
-    code is concatenated to the input of every residual block. Sharing the
-    network across points makes the field permutation-equivariant; the final
-    layer starts at zero so the initial score is identically zero.
+    Each row runs through an input layer, n_blocks residual blocks
+    h + W2 silu(W1 [h, code] + b1) + b2 and an output layer. The conditioning
+    code (cond_dim entries; none when cond_dim is 0) joins the input of every
+    block. The output layer starts at zero, so a fresh net's score is
+    identically zero. Parameter slots, in order: in_w, in_b, then b{k}_w1,
+    b{k}_b1, b{k}_w2, b{k}_b2 per block, then out_w, out_b; this order is the
+    checkpoint format.
     """
 
-    def __init__(self, latent_dim, width=256, n_blocks=6, temb_dim=64,
-                 params=None, rng=None):
+    def __init__(self, latent_dim, width, n_blocks, temb_dim, params, rng,
+                 state_dim, cond_dim):
         if latent_dim < 1 or width < 1 or n_blocks < 1:
             raise InvalidParameterError("latent_dim, width, n_blocks must be >= 1")
         self.latent_dim = int(latent_dim)
         self.width = int(width)
         self.n_blocks = int(n_blocks)
         self.temb_dim = int(temb_dim)
+        self.state_dim = int(state_dim)
+        self.cond_dim = int(cond_dim)
 
+        w = self.width
         lay = _Layout()
-        lay.add("in_w", (width, 3 + temb_dim))
-        lay.add("in_b", (width,))
-        for k in range(n_blocks):
-            lay.add(f"b{k}_w1", (width, width + latent_dim))
-            lay.add(f"b{k}_b1", (width,))
-            lay.add(f"b{k}_w2", (width, width))
-            lay.add(f"b{k}_b2", (width,))
-        lay.add("out_w", (3, width))
-        lay.add("out_b", (3,))
+        lay.add("in_w", (w, self.state_dim + self.temb_dim))
+        lay.add("in_b", (w,))
+        for k in range(self.n_blocks):
+            lay.add(f"b{k}_w1", (w, w + self.cond_dim))
+            lay.add(f"b{k}_b1", (w,))
+            lay.add(f"b{k}_w2", (w, w))
+            lay.add(f"b{k}_b2", (w,))
+        lay.add("out_w", (self.state_dim, w))
+        lay.add("out_b", (self.state_dim,))
         self.layout = lay
-
-        if params is not None:
-            params = np.asarray(params, dtype=np.float64)
-            if params.shape != (lay.size,):
-                raise InvalidInputError(
-                    f"expected {lay.size} parameters, got {params.shape}"
-                )
-            self.params = params.copy()
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.params = _init_params(lay, rng, zero_names=("out_w",))
+        self.params = _make_params(lay, params, rng, zero_names=("out_w",))
 
     @property
     def n_params(self):
@@ -212,7 +215,84 @@ class MlpScoreNet(ScoreField):
     def _p(self, name):
         return self.layout.view(self.params, name)
 
-    def _check_inputs(self, xt, z):
+    def _forward_rows(self, state, code, t):
+        """Scores for state rows (R, state_dim) under code (cond_dim,)."""
+        n = state.shape[0]
+        temb = time_embedding(t, self.temb_dim)
+        inp = np.concatenate([state, np.tile(temb, (n, 1))], axis=1)
+        h = inp @ self._p("in_w").T + self._p("in_b")
+        code_rows = np.tile(code, (n, 1))
+        hs, pres, acts = [h], [], []
+        for k in range(self.n_blocks):
+            u = np.concatenate([h, code_rows], axis=1)
+            pre = u @ self._p(f"b{k}_w1").T + self._p(f"b{k}_b1")
+            act = silu(pre)
+            h = h + act @ self._p(f"b{k}_w2").T + self._p(f"b{k}_b2")
+            hs.append(h)
+            pres.append(pre)
+            acts.append(act)
+        out = h @ self._p("out_w").T + self._p("out_b")
+        return out, (inp, code, hs, pres, acts)
+
+    def _backward_rows(self, cache, upstream):
+        """Backprop an (R, state_dim) upstream gradient.
+
+        Returns (flat parameter gradient, d/d state rows, d/d code).
+        """
+        inp, code, hs, pres, acts = cache
+        w = self.width
+        g = np.zeros(self.layout.size)
+
+        def acc(name, value):
+            self.layout.view(g, name)[...] = value
+
+        acc("out_w", upstream.T @ hs[-1])
+        acc("out_b", upstream.sum(axis=0))
+        dh = upstream @ self._p("out_w")
+        dcode = np.zeros(self.cond_dim)
+        code_rows = np.tile(code, (inp.shape[0], 1))
+        for k in reversed(range(self.n_blocks)):
+            u = np.concatenate([hs[k], code_rows], axis=1)
+            acc(f"b{k}_b2", dh.sum(axis=0))
+            acc(f"b{k}_w2", dh.T @ acts[k])
+            dpre = (dh @ self._p(f"b{k}_w2")) * silu_grad(pres[k])
+            acc(f"b{k}_b1", dpre.sum(axis=0))
+            acc(f"b{k}_w1", dpre.T @ u)
+            du = dpre @ self._p(f"b{k}_w1")
+            dh = dh + du[:, :w]
+            dcode += du[:, w:].sum(axis=0)
+        acc("in_w", dh.T @ inp)
+        acc("in_b", dh.sum(axis=0))
+        dstate = (dh @ self._p("in_w"))[:, : self.state_dim]
+        return g, dstate, dcode
+
+    @abc.abstractmethod
+    def _field_forward(self, xt, z, t):
+        """forward() reached through the ScoreField arguments (xt, z, t)."""
+
+    def evaluate(self, xt, z, t):
+        return self._field_forward(xt, z, t)[0]
+
+    def input_vjp(self, xt, z, t, upstream):
+        _, cache = self._field_forward(xt, z, t)
+        return self.backward(cache, np.asarray(upstream, dtype=np.float64))[1]
+
+
+class MlpScoreNet(_ResidualMlp):
+    """Per-point conditional score network for the decoder.
+
+    Each point is one row of the residual MLP: its coordinates with a
+    sinusoidal time embedding, and the latent code joining every block.
+    Sharing the network across points makes the field
+    permutation-equivariant.
+    """
+
+    def __init__(self, latent_dim, width=256, n_blocks=6, temb_dim=64,
+                 params=None, rng=None):
+        super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
+                         state_dim=3, cond_dim=latent_dim)
+
+    def forward(self, xt, z, t):
         xt = np.asarray(xt, dtype=np.float64)
         if xt.ndim != 2 or xt.shape[1] != 3:
             raise InvalidInputError(f"xt must be (N, 3), got {xt.shape}")
@@ -223,71 +303,17 @@ class MlpScoreNet(ScoreField):
             raise InvalidInputError(
                 f"latent code must have dimension {self.latent_dim}, got {z.shape}"
             )
-        return xt, z
-
-    def forward(self, xt, z, t):
-        xt, z = self._check_inputs(xt, z)
-        n = xt.shape[0]
-        temb = time_embedding(t, self.temb_dim)
-        inp = np.concatenate([xt, np.tile(temb, (n, 1))], axis=1)
-        h = inp @ self._p("in_w").T + self._p("in_b")
-        z_rows = np.tile(z, (n, 1))
-        hs, pres, acts = [h], [], []
-        for k in range(self.n_blocks):
-            u = np.concatenate([h, z_rows], axis=1)
-            pre = u @ self._p(f"b{k}_w1").T + self._p(f"b{k}_b1")
-            act = silu(pre)
-            h = h + act @ self._p(f"b{k}_w2").T + self._p(f"b{k}_b2")
-            hs.append(h)
-            pres.append(pre)
-            acts.append(act)
-        out = h @ self._p("out_w").T + self._p("out_b")
-        cache = (inp, z, hs, pres, acts)
-        return out, cache
-
-    def evaluate(self, xt, z, t):
-        return self.forward(xt, z, t)[0]
+        return self._forward_rows(xt, z, t)
 
     def backward(self, cache, upstream):
         """Backprop an (N, 3) upstream gradient.
 
         Returns (flat parameter gradient, d/d xt, d/d z).
         """
-        inp, z, hs, pres, acts = cache
-        w = self.width
-        g = np.zeros(self.layout.size)
+        return self._backward_rows(cache, upstream)
 
-        def acc(name, value):
-            self.layout.view(g, name)[...] = value
-
-        acc("out_w", upstream.T @ hs[-1])
-        acc("out_b", upstream.sum(axis=0))
-        dh = upstream @ self._p("out_w")
-        dz = np.zeros(self.latent_dim)
-        z_rows = np.tile(z, (inp.shape[0], 1))
-        for k in reversed(range(self.n_blocks)):
-            u = np.concatenate([hs[k], z_rows], axis=1)
-            acc(f"b{k}_b2", dh.sum(axis=0))
-            acc(f"b{k}_w2", dh.T @ acts[k])
-            dpre = (dh @ self._p(f"b{k}_w2")) * silu_grad(pres[k])
-            acc(f"b{k}_b1", dpre.sum(axis=0))
-            acc(f"b{k}_w1", dpre.T @ u)
-            du = dpre @ self._p(f"b{k}_w1")
-            dh = dh + du[:, :w]
-            dz += du[:, w:].sum(axis=0)
-        acc("in_w", dh.T @ inp)
-        acc("in_b", dh.sum(axis=0))
-        dx = (dh @ self._p("in_w"))[:, :3]
-        return g, dx, dz
-
-    def input_vjp(self, xt, z, t, upstream):
-        _, cache = self.forward(xt, z, t)
-        return self.backward(cache, np.asarray(upstream, dtype=np.float64))[1]
-
-
-def decoder_score(net, xt, z, t):
-    """Conditional per-point score estimate s(xt, z, t)."""
-    return net.evaluate(xt, z, t)
+    def _field_forward(self, xt, z, t):
+        return self.forward(xt, z, t)
 
 
 class PointEncoder:
@@ -316,17 +342,7 @@ class PointEncoder:
         lay.add("logvar_w", (self.latent_dim, self.feature_width))
         lay.add("logvar_b", (self.latent_dim,))
         self.layout = lay
-
-        if params is not None:
-            params = np.asarray(params, dtype=np.float64)
-            if params.shape != (lay.size,):
-                raise InvalidInputError(
-                    f"expected {lay.size} parameters, got {params.shape}"
-                )
-            self.params = params.copy()
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.params = _init_params(lay, rng)
+        self.params = _make_params(lay, params, rng)
 
     @property
     def n_params(self):
@@ -381,13 +397,6 @@ class PointEncoder:
         return g
 
 
-def encoder_forward(encoder, cloud):
-    """Posterior parameters (mean, logvar) for a cloud."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
-    mean, logvar, _ = encoder.forward(pts)
-    return mean, logvar
-
-
 def reparameterize(mean, logvar, noise):
     """Draw z = mean + exp(logvar / 2) * noise with caller-supplied noise."""
     mean = np.asarray(mean, dtype=np.float64)
@@ -396,47 +405,13 @@ def reparameterize(mean, logvar, noise):
     return mean + np.exp(0.5 * logvar) * noise
 
 
-class LatentScoreNet(ScoreField):
-    """Residual dense score network over (latent state, time embedding)."""
+class LatentScoreNet(_ResidualMlp):
+    """Score network for the latent prior: the code is one unconditioned row."""
 
     def __init__(self, latent_dim, width=128, n_blocks=3, temb_dim=64,
                  params=None, rng=None):
-        if latent_dim < 1 or width < 1 or n_blocks < 1:
-            raise InvalidParameterError("latent_dim, width, n_blocks must be >= 1")
-        self.latent_dim = int(latent_dim)
-        self.width = int(width)
-        self.n_blocks = int(n_blocks)
-        self.temb_dim = int(temb_dim)
-
-        lay = _Layout()
-        lay.add("in_w", (width, latent_dim + temb_dim))
-        lay.add("in_b", (width,))
-        for k in range(n_blocks):
-            lay.add(f"b{k}_w1", (width, width))
-            lay.add(f"b{k}_b1", (width,))
-            lay.add(f"b{k}_w2", (width, width))
-            lay.add(f"b{k}_b2", (width,))
-        lay.add("out_w", (latent_dim, width))
-        lay.add("out_b", (latent_dim,))
-        self.layout = lay
-
-        if params is not None:
-            params = np.asarray(params, dtype=np.float64)
-            if params.shape != (lay.size,):
-                raise InvalidInputError(
-                    f"expected {lay.size} parameters, got {params.shape}"
-                )
-            self.params = params.copy()
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.params = _init_params(lay, rng, zero_names=("out_w",))
-
-    @property
-    def n_params(self):
-        return self.layout.size
-
-    def _p(self, name):
-        return self.layout.view(self.params, name)
+        super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
+                         state_dim=latent_dim, cond_dim=0)
 
     def forward(self, zt, t):
         zt = np.asarray(zt, dtype=np.float64)
@@ -444,55 +419,19 @@ class LatentScoreNet(ScoreField):
             raise InvalidInputError(
                 f"latent state must have dimension {self.latent_dim}, got {zt.shape}"
             )
-        inp = np.concatenate([zt, time_embedding(t, self.temb_dim)])
-        h = self._p("in_w") @ inp + self._p("in_b")
-        hs, pres, acts = [h], [], []
-        for k in range(self.n_blocks):
-            pre = self._p(f"b{k}_w1") @ h + self._p(f"b{k}_b1")
-            act = silu(pre)
-            h = h + self._p(f"b{k}_w2") @ act + self._p(f"b{k}_b2")
-            hs.append(h)
-            pres.append(pre)
-            acts.append(act)
-        out = self._p("out_w") @ h + self._p("out_b")
-        return out, (inp, hs, pres, acts)
-
-    def evaluate(self, xt, z, t):
-        if z is not None:
-            raise InvalidInputError("latent score net takes no conditioning code")
-        return self.forward(xt, t)[0]
+        out, cache = self._forward_rows(zt[None, :], np.zeros(0), t)
+        return out[0], cache
 
     def backward(self, cache, upstream):
         """Backprop a (d,) upstream gradient; returns (flat grads, d/d zt)."""
-        inp, hs, pres, acts = cache
-        g = np.zeros(self.layout.size)
+        upstream = np.asarray(upstream, dtype=np.float64)
+        g, dzt, _ = self._backward_rows(cache, upstream[None, :])
+        return g, dzt[0]
 
-        def acc(name, value):
-            self.layout.view(g, name)[...] = value
-
-        acc("out_w", np.outer(upstream, hs[-1]))
-        acc("out_b", upstream)
-        dh = self._p("out_w").T @ upstream
-        for k in reversed(range(self.n_blocks)):
-            acc(f"b{k}_b2", dh)
-            acc(f"b{k}_w2", np.outer(dh, acts[k]))
-            dpre = (self._p(f"b{k}_w2").T @ dh) * silu_grad(pres[k])
-            acc(f"b{k}_b1", dpre)
-            acc(f"b{k}_w1", np.outer(dpre, hs[k]))
-            dh = dh + self._p(f"b{k}_w1").T @ dpre
-        acc("in_w", np.outer(dh, inp))
-        acc("in_b", dh)
-        dzt = (self._p("in_w").T @ dh)[: self.latent_dim]
-        return g, dzt
-
-    def input_vjp(self, xt, z, t, upstream):
-        _, cache = self.forward(xt, t)
-        return self.backward(cache, np.asarray(upstream, dtype=np.float64))[1]
-
-
-def latent_score(net, zt, t):
-    """Latent-prior score estimate s(zt, t)."""
-    return net.evaluate(zt, None, t)
+    def _field_forward(self, xt, z, t):
+        if z is not None:
+            raise InvalidInputError("latent score net takes no conditioning code")
+        return self.forward(xt, t)
 
 
 @dataclass(frozen=True)

@@ -126,3 +126,39 @@ def test_rejects_param_size_mismatch(bundle, tmp_path, tiny_model_config):
 def test_rejects_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_failed_save_keeps_previous_checkpoint(bundle, tmp_path, monkeypatch):
+    import smoothdiff.checkpoint as checkpoint_mod
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, bundle, DiffusionSchedule(), trained_epochs=3)
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint_mod, "open", lambda p, mode: TornFile(open(p, mode)),
+                  raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, bundle, DiffusionSchedule(), trained_epochs=9)
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    assert path.read_bytes() == before
+    _, _, header = load_checkpoint(path)
+    assert header["trained_epochs"] == 3

@@ -1,6 +1,7 @@
 """Reverse-time sampling: Tweedie identity, Euler steps, smoothness guidance."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from smoothdiff import (
     UnsupportedModeError,
     build_knn_graph,
     build_laplacian,
-    constrained_reverse_step,
     constraint_gradient,
     generate,
-    reverse_step,
     sample_latent,
     smoothness,
     tweedie_denoise,
@@ -52,6 +51,20 @@ class ConstField(ScoreField):
 class HugeField(ScoreField):
     def evaluate(self, xt, z, t):
         return np.full_like(np.asarray(xt, dtype=float), 1e308)
+
+
+class BlowUpAfter(ScoreField):
+    """Zero score for the first `calls` evaluations, then 1e308 everywhere."""
+
+    latent_dim = 2
+
+    def __init__(self, calls):
+        self.left = calls
+
+    def evaluate(self, xt, z, t):
+        self.left -= 1
+        value = 1e308 if self.left < 0 else 0.0
+        return np.full_like(np.asarray(xt, dtype=float), value)
 
 
 def single_gaussian(sigma0=1.0, mu=(0.0, 0.0, 0.0)):
@@ -99,22 +112,18 @@ def test_tweedie_shape_check():
 # ------------------------------------------------------------------ steps
 
 
-def test_reverse_step_zero_score_closed_form(rng):
-    x = rng.standard_normal((5, 3))
-    noise = rng.standard_normal((5, 3))
-    t, dt = 0.7, 0.01
-    out = reverse_step(x, ZeroField(), None, t, dt, SCHEDULE, noise)
+def test_reverse_step_zero_score_closed_form():
+    # one step of generate with a zero score; the cloud's child stream gives
+    # the starting state, then the step noise
+    cfg = SamplerConfig(n_steps=1, alpha=0.0, constraint_mode="off", seed=8)
+    clouds, _ = generate(ZeroField(), SCHEDULE, cfg, n_clouds=1, n_points=5)
+    draws = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    x = draws.standard_normal((5, 3))
+    noise = draws.standard_normal((5, 3))
+    t, dt = 1.0, 1.0 - cfg.t_floor
     beta = SCHEDULE.beta(t)
     expected = x + 0.5 * beta * x * dt + np.sqrt(beta) * np.sqrt(dt) * noise
-    assert np.allclose(out, expected, rtol=1e-14)
-
-
-def test_reverse_step_validation(rng):
-    x = rng.standard_normal((4, 3))
-    with pytest.raises(InvalidParameterError):
-        reverse_step(x, ZeroField(), None, 0.5, 0.0, SCHEDULE, x)
-    with pytest.raises(InvalidInputError):
-        reverse_step(x, ZeroField(), None, 0.5, 0.01, SCHEDULE, x[:2])
+    assert np.allclose(clouds[0].points, expected, rtol=1e-14)
 
 
 def test_reverse_chain_preserves_standard_normal_marginal():
@@ -221,19 +230,6 @@ def test_pure_constraint_move_reduces_denoised_smoothness(rng):
     assert smoothness(moved / a, lap) < s0
 
 
-def test_alpha_zero_bitwise_equal_to_off(rng):
-    field = single_gaussian(sigma0=0.5)
-    noise = rng.standard_normal((12, 3))
-    x = rng.standard_normal((12, 3))
-    base = reverse_step(x, field, None, 0.6, 0.01, SCHEDULE, noise)
-    for cfg in (
-        SamplerConfig(alpha=0.0, constraint_mode="frozen_score", knn_k=3),
-        SamplerConfig(alpha=0.5, constraint_mode="off", knn_k=3),
-    ):
-        got = constrained_reverse_step(x, field, None, 0.6, 0.01, SCHEDULE, cfg, noise)
-        assert np.array_equal(got, base)
-
-
 def test_generate_alpha_zero_bitwise_equal_to_off():
     field = single_gaussian(sigma0=0.4)
     common = dict(n_steps=20, knn_k=4, seed=9)
@@ -303,6 +299,19 @@ def test_generate_validation():
             field, SCHEDULE, SamplerConfig(n_steps=5, alpha=0.0, constraint_mode="off"),
             n_clouds=2, n_points=8, latents=np.zeros((3, 4)),
         )
+
+    class WrongShape(ScoreField):
+        latent_dim = 2
+
+        def evaluate(self, xt, z, t):
+            return np.zeros(5)
+
+    off = SamplerConfig(n_steps=2, alpha=0.0, constraint_mode="off")
+    with pytest.raises(InvalidInputError, match="score shape"):
+        generate(WrongShape(), SCHEDULE, off, n_clouds=1, n_points=8)
+    with pytest.raises(InvalidInputError, match="score shape"):
+        generate(ZeroField(), SCHEDULE, off, n_clouds=1, n_points=8,
+                 latent_field=WrongShape())
 
 
 def test_generate_deterministic_per_seed():
@@ -375,8 +384,18 @@ def test_trajectory_recorded_without_constraint():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_generate_aborts_on_divergence():
     cfg = SamplerConfig(n_steps=5, alpha=0.0, constraint_mode="off")
-    with pytest.raises(NumericalAbortError):
+    with pytest.raises(NumericalAbortError, match=re.escape(
+            "step 0, t=1.0: non-finite state of cloud 0")):
         generate(HugeField(), SCHEDULE, cfg, n_clouds=1, n_points=4)
+    # 5 calls per chain: the 9th call is step 3 of the second chain
+    t3 = repr(1.0 - 3 * ((1.0 - cfg.t_floor) / cfg.n_steps))
+    with pytest.raises(NumericalAbortError, match=re.escape(
+            f"step 3, t={t3}: non-finite state of cloud 1")):
+        generate(BlowUpAfter(8), SCHEDULE, cfg, n_clouds=2, n_points=4)
+    with pytest.raises(NumericalAbortError, match=re.escape(
+            f"step 3, t={t3}: non-finite latent code of cloud 1")):
+        generate(ZeroField(), SCHEDULE, cfg, n_clouds=2, n_points=4,
+                 latent_field=BlowUpAfter(8))
 
 
 def test_terminal_denoise_scales_zero_field_output():

@@ -20,10 +20,6 @@ from smoothdiff import (
     PointEncoder,
     DiffusionSchedule,
     build_models,
-    decoder_score,
-    encoder_forward,
-    gmm_perturbed_score,
-    latent_score,
     reparameterize,
     time_embedding,
 )
@@ -97,12 +93,12 @@ def test_gmm_input_vjp_matches_directional_fd(gmm, rng):
     assert np.max(np.abs(got - fd)) < 1e-6
 
 
-def test_gmm_helper_and_1d_input(gmm):
+def test_gmm_1d_input(gmm):
     x = np.array([0.1, 0.2, 0.3])
     t = 0.7
-    via_helper = gmm_perturbed_score(gmm, x, t)
-    direct = gmm.evaluate(x[None, :], None, t)
-    assert np.array_equal(np.atleast_2d(via_helper), direct)
+    single = gmm.evaluate(x, None, t)
+    assert single.shape == (3,)
+    assert np.array_equal(single[None, :], gmm.evaluate(x[None, :], None, t))
 
 
 # ------------------------------------------------------------ embeddings
@@ -187,11 +183,11 @@ def test_decoder_permutation_equivariance(tiny_bundle, rng):
     assert np.array_equal(a, b)
 
 
-def test_decoder_score_helper(tiny_bundle, rng):
+def test_decoder_evaluate_is_forward_output(tiny_bundle, rng):
     net = tiny_bundle.decoder
     xt = rng.standard_normal((4, 3))
     z = rng.standard_normal(6)
-    assert np.array_equal(decoder_score(net, xt, z, 0.5), net.evaluate(xt, z, 0.5))
+    assert np.array_equal(net.evaluate(xt, z, 0.5), net.forward(xt, z, 0.5)[0])
 
 
 # --------------------------------------------------------------- encoder
@@ -200,8 +196,8 @@ def test_decoder_score_helper(tiny_bundle, rng):
 def test_encoder_permutation_invariance(tiny_bundle, rng):
     enc = tiny_bundle.encoder
     cloud = rng.standard_normal((10, 3))
-    m1, lv1 = encoder_forward(enc, cloud)
-    m2, lv2 = encoder_forward(enc, cloud[rng.permutation(10)])
+    m1, lv1, _ = enc.forward(cloud)
+    m2, lv2, _ = enc.forward(cloud[rng.permutation(10)])
     assert np.array_equal(m1, m2)
     assert np.array_equal(lv1, lv2)
 
@@ -211,8 +207,8 @@ def test_encoder_duplication_idempotent(tiny_bundle, rng):
     enc = tiny_bundle.encoder
     cloud = rng.standard_normal((6, 3))
     doubled = np.concatenate([cloud, cloud], axis=0)
-    m1, lv1 = encoder_forward(enc, cloud)
-    m2, lv2 = encoder_forward(enc, doubled)
+    m1, lv1, _ = enc.forward(cloud)
+    m2, lv2, _ = enc.forward(doubled)
     assert np.array_equal(m1, m2)
     assert np.array_equal(lv1, lv2)
 
@@ -220,7 +216,7 @@ def test_encoder_duplication_idempotent(tiny_bundle, rng):
 def test_encoder_logvar_bounded(tiny_bundle, rng):
     enc = tiny_bundle.encoder
     for scale in (0.01, 1.0, 100.0):
-        _, lv = encoder_forward(enc, scale * rng.standard_normal((12, 3)))
+        _, lv, _ = enc.forward(scale * rng.standard_normal((12, 3)))
         assert np.all(lv >= -20.0) and np.all(lv <= 4.0)
 
 
@@ -270,7 +266,7 @@ def test_latent_param_and_input_gradients(tiny_bundle, rng):
         lambda w: float(np.dot(net.forward(w, t)[0], v)), zt.copy(), eps=1e-6
     )
     assert np.max(np.abs(dzt - fd_z)) < 1e-7
-    assert np.array_equal(latent_score(net, zt, t), net.evaluate(zt, None, t))
+    assert np.array_equal(net.evaluate(zt, None, t), net.forward(zt, t)[0])
 
 
 def test_fresh_latent_outputs_zero():
@@ -308,3 +304,26 @@ def test_bundle_rejects_mismatched_latent_dims():
     lat = LatentScoreNet(latent_dim=5, width=8, n_blocks=1, temb_dim=4, rng=np.random.default_rng(2))
     with pytest.raises(InvalidInputError):
         ModelBundle(encoder=enc, decoder=dec, latent=lat)
+
+
+def test_score_net_parameter_layouts_are_pinned():
+    # slot names, order and shapes are the parameter blocks of the SDPC
+    # checkpoint format; changing them breaks every saved checkpoint
+    def slots(net):
+        return [(name, off, tuple(shape)) for name, (off, shape) in net.layout.slots.items()]
+
+    dec = MlpScoreNet(latent_dim=2, width=4, n_blocks=2, temb_dim=6)
+    assert slots(dec) == [
+        ("in_w", 0, (4, 9)), ("in_b", 36, (4,)),
+        ("b0_w1", 40, (4, 6)), ("b0_b1", 64, (4,)), ("b0_w2", 68, (4, 4)), ("b0_b2", 84, (4,)),
+        ("b1_w1", 88, (4, 6)), ("b1_b1", 112, (4,)), ("b1_w2", 116, (4, 4)), ("b1_b2", 132, (4,)),
+        ("out_w", 136, (3, 4)), ("out_b", 148, (3,)),
+    ]
+    assert dec.n_params == 151
+    lat = LatentScoreNet(latent_dim=2, width=4, n_blocks=1, temb_dim=6)
+    assert slots(lat) == [
+        ("in_w", 0, (4, 8)), ("in_b", 32, (4,)),
+        ("b0_w1", 36, (4, 4)), ("b0_b1", 52, (4,)), ("b0_w2", 56, (4, 4)), ("b0_b2", 72, (4,)),
+        ("out_w", 76, (2, 4)), ("out_b", 84, (2,)),
+    ]
+    assert lat.n_params == 86
