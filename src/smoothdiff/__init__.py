@@ -15,11 +15,8 @@ from .config import (
     RunConfig,
     dump_run_config,
     load_run_config,
-    make_model_config,
-    make_schedule,
-    make_train_config,
     parse_run_config,
-    save_run_config,
+    stage_config,
 )
 from .errors import (
     ConfigError,
@@ -79,7 +76,6 @@ from .training import (
     LossReport,
     TrainConfig,
     entropy_term,
-    entropy_term_mc,
     latent_dsm_loss,
     lr_factor,
     make_optimizers,
@@ -96,11 +92,8 @@ __all__ = [
     "RunConfig",
     "dump_run_config",
     "load_run_config",
-    "make_model_config",
-    "make_schedule",
-    "make_train_config",
     "parse_run_config",
-    "save_run_config",
+    "stage_config",
     "ConfigError",
     "DataError",
     "InvalidInputError",
@@ -151,7 +144,6 @@ __all__ = [
     "LossReport",
     "TrainConfig",
     "entropy_term",
-    "entropy_term_mc",
     "latent_dsm_loss",
     "lr_factor",
     "make_optimizers",

@@ -2,9 +2,12 @@
 
 Subcommands: synth (synthetic shape datasets), train, sample, eval,
 sweep-k (constraint-k sensitivity), and denoise-demo (analytic-oracle
-self-checks). Every command is deterministic under a fixed --seed. Flags
-override config-file values, which override defaults. Exit codes: 0 ok,
-2 configuration or parameter error, 3 data error, 4 numerical abort.
+self-checks). Every command is deterministic under a fixed --seed. A flag
+that overrides a config key has that key as its argparse dest (--steps of
+sample is sample_n_steps); main merges the given flags into the config,
+and the commands read only the merged config. Flags override config-file
+values, which override defaults. Exit codes: 0 ok, 2 configuration or
+parameter error, 3 data error, 4 numerical abort.
 
 The default output root is the current directory, overridable with the
 SMOOTHDIFF_OUTPUT_ROOT environment variable; each command writes under
@@ -12,6 +15,7 @@ SMOOTHDIFF_OUTPUT_ROOT environment variable; each command writes under
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,14 +27,7 @@ import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (
-    RunConfig,
-    dump_run_config,
-    load_run_config,
-    make_model_config,
-    make_schedule,
-    make_train_config,
-)
+from .config import RunConfig, dump_run_config, load_run_config, stage_config
 from .errors import (
     ConfigError,
     DataError,
@@ -43,14 +40,18 @@ from .geometry import ShapeSpec, generate_shape
 from .metrics import _mean_smoothness, evaluate_sets, write_metrics_csv
 from .pointio import read_cloud_dir, write_xyz
 from .sampler import SamplerConfig, generate, tweedie_denoise
-from .score_models import GaussianMixtureScore, build_models
-from .training import train
+from .score_models import GaussianMixtureScore, ModelConfig, build_models
+from .sde import DiffusionSchedule
+from .training import TrainConfig, train
 
 MODE_FLAG_MAP = {"off": "off", "frozen": "frozen_score", "exact": "exact_chain"}
 
 
-def _pick(flag_value, config_value):
-    return config_value if flag_value is None else flag_value
+class _ModeFlag(argparse.Action):
+    """--mode off|frozen|exact, stored as the constraint mode it names."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, MODE_FLAG_MAP[value])
 
 
 def _output_root():
@@ -85,66 +86,44 @@ def _write_manifest(directory, payload):
 
 
 def cmd_synth(args, cfg):
-    kind = _pick(args.kind, cfg.shape_kind)
-    count = _pick(args.count, cfg.shape_n_clouds)
-    points = _pick(args.points, cfg.shape_n_points)
-    noise_std = _pick(args.noise_std, cfg.shape_noise_std)
-    seed = _pick(args.seed, cfg.seed)
+    count = cfg.shape_n_clouds
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     out = _resolve_out(args.out, cfg, "synth")
     os.makedirs(out, exist_ok=True)
     names = []
     for i in range(count):
-        spec = ShapeSpec(
-            kind=kind,
-            n_points=points,
-            noise_std=noise_std,
-            rng_seed=seed + i,
-            radius=cfg.shape_radius,
-            major_radius=cfg.shape_major_radius,
-            minor_radius=cfg.shape_minor_radius,
-            extent=cfg.shape_extent,
-            height=cfg.shape_height,
-            turns=cfg.shape_turns,
-        )
+        spec = stage_config(ShapeSpec, cfg, rng_seed=cfg.seed + i)
         name = f"cloud_{i:04d}.xyz"
         write_xyz(os.path.join(out, name), generate_shape(spec))
         names.append(name)
+    sizes = ("extent", "height", "major_radius", "minor_radius", "radius", "turns")
     _write_manifest(out, {
-        "base_seed": seed,
+        "base_seed": cfg.seed,
         "command": "synth",
         "config_sha256": _config_hash(cfg),
         "count": count,
         "files": names,
-        "kind": kind,
-        "noise_std": noise_std,
-        "points": points,
-        "shape_params": {
-            "extent": cfg.shape_extent,
-            "height": cfg.shape_height,
-            "major_radius": cfg.shape_major_radius,
-            "minor_radius": cfg.shape_minor_radius,
-            "radius": cfg.shape_radius,
-            "turns": cfg.shape_turns,
-        },
+        "kind": cfg.shape_kind,
+        "noise_std": cfg.shape_noise_std,
+        "points": cfg.shape_n_points,
+        "shape_params": {name: getattr(cfg, "shape_" + name) for name in sizes},
         "versions": _versions(),
     })
-    print(f"wrote {count} {kind} clouds ({points} points each) to {out}")
+    print(f"wrote {count} {cfg.shape_kind} clouds ({cfg.shape_n_points} points each) "
+          f"to {out}")
     return 0
 
 
 def cmd_train(args, cfg):
-    data_dir = args.data or cfg.data_dir
-    if not data_dir:
+    if not cfg.data_dir:
         raise ConfigError("no dataset: pass --data or set data_dir in the config")
-    seed = _pick(args.seed, cfg.seed)
-    epochs = _pick(args.epochs, cfg.train_epochs)
+    epochs = cfg.train_epochs
     out = _resolve_out(args.out, cfg, "train")
     os.makedirs(out, exist_ok=True)
 
-    dataset = read_cloud_dir(data_dir)
-    train_cfg = make_train_config(cfg, epochs=epochs, seed=seed)
+    dataset = read_cloud_dir(cfg.data_dir)
+    train_cfg = stage_config(TrainConfig, cfg, seed=cfg.seed)
     if args.resume:
         bundle, schedule, header = load_checkpoint(args.resume)
         start_epoch = header["trained_epochs"]
@@ -154,8 +133,8 @@ def cmd_train(args, cfg):
                 f"above {start_epoch} to continue"
             )
     else:
-        bundle = build_models(make_model_config(cfg), seed=seed)
-        schedule = make_schedule(cfg)
+        bundle = build_models(stage_config(ModelConfig, cfg), seed=cfg.seed)
+        schedule = stage_config(DiffusionSchedule, cfg)
         start_epoch = 0
 
     loss_path = os.path.join(out, "loss.csv")
@@ -169,10 +148,10 @@ def cmd_train(args, cfg):
     _write_manifest(out, {
         "command": "train",
         "config_sha256": _config_hash(cfg),
-        "data_dir": data_dir,
+        "data_dir": cfg.data_dir,
         "epochs": epochs,
         "n_clouds": len(dataset),
-        "seed": seed,
+        "seed": cfg.seed,
         "start_epoch": start_epoch,
         "versions": _versions(),
     })
@@ -185,41 +164,15 @@ def cmd_train(args, cfg):
     return 0
 
 
-def _sampler_config_from(args, cfg, seed):
-    mode_flag = getattr(args, "mode", None)
-    mode = cfg.sample_constraint_mode if mode_flag is None else MODE_FLAG_MAP[mode_flag]
-    alpha = _pick(getattr(args, "alpha", None), cfg.sample_alpha)
-    if mode == "off" and alpha > 0:
+def cmd_sample(args, cfg):
+    bundle, schedule, header = load_checkpoint(args.checkpoint)
+    if cfg.sample_constraint_mode == "off" and cfg.sample_alpha > 0:
         raise ConfigError(
             "alpha > 0 conflicts with constraint mode 'off'; drop --alpha or "
             "pick --mode frozen/exact"
         )
-    return SamplerConfig(
-        n_steps=_pick(getattr(args, "steps", None), cfg.sample_n_steps),
-        alpha=alpha,
-        knn_k=_pick(getattr(args, "knn_k", None), cfg.sample_knn_k),
-        graph_refresh_stride=_pick(
-            getattr(args, "stride", None), cfg.sample_graph_refresh_stride
-        ),
-        constraint_mode=mode,
-        seed=seed,
-        t_floor=cfg.sample_t_floor,
-        t_constraint=_pick(getattr(args, "t_constraint", None), cfg.sample_t_constraint),
-        terminal_denoise=bool(
-            getattr(args, "terminal_denoise", False) or cfg.sample_terminal_denoise
-        ),
-        record_trajectory=bool(
-            getattr(args, "record_trajectory", False) or cfg.sample_record_trajectory
-        ),
-    )
-
-
-def cmd_sample(args, cfg):
-    bundle, schedule, header = load_checkpoint(args.checkpoint)
-    seed = _pick(args.seed, cfg.seed)
-    sampler_cfg = _sampler_config_from(args, cfg, seed)
-    count = _pick(args.count, cfg.sample_n_clouds)
-    points = _pick(args.points, cfg.sample_n_points)
+    sampler_cfg = stage_config(SamplerConfig, cfg, seed=cfg.seed)
+    count, points = cfg.sample_n_clouds, cfg.sample_n_points
     out = _resolve_out(args.out, cfg, "sample")
     os.makedirs(out, exist_ok=True)
 
@@ -246,7 +199,7 @@ def cmd_sample(args, cfg):
         "n_clouds": count,
         "n_points": points,
         "n_steps": sampler_cfg.n_steps,
-        "seed": seed,
+        "seed": cfg.seed,
         "t_constraint": sampler_cfg.t_constraint,
         "versions": _versions(),
     })
@@ -257,8 +210,7 @@ def cmd_sample(args, cfg):
 def cmd_eval(args, cfg):
     reference = read_cloud_dir(args.reference)
     generated = read_cloud_dir(args.generated)
-    knn_k = _pick(args.knn_k, cfg.eval_knn_k)
-    report = evaluate_sets(reference, generated, knn_k=knn_k)
+    report = evaluate_sets(reference, generated, knn_k=cfg.eval_knn_k)
     if args.out:
         out_path = args.out
         parent = os.path.dirname(out_path)
@@ -289,37 +241,27 @@ def _parse_k_values(raw):
 def cmd_sweep_k(args, cfg):
     bundle, schedule, _ = load_checkpoint(args.checkpoint)
     reference = read_cloud_dir(args.reference)
-    seed = _pick(args.seed, cfg.seed)
     k_values = _parse_k_values(args.k_values)
-    eval_k = _pick(args.eval_k, cfg.eval_knn_k)
-    count = _pick(args.count, cfg.sample_n_clouds)
-    points = _pick(args.points, cfg.sample_n_points)
-    steps = _pick(args.steps, cfg.sample_n_steps)
+    eval_k, count, points = cfg.eval_knn_k, cfg.sample_n_clouds, cfg.sample_n_points
     alpha = args.alpha
     if alpha is None:
         alpha = cfg.sample_alpha if cfg.sample_alpha > 0 else SamplerConfig().alpha
     if alpha <= 0:
         raise ConfigError("sweep-k needs alpha > 0")
-    mode = MODE_FLAG_MAP[args.mode]
-    for k in k_values:
+    for what, k in [("sweep k", k) for k in k_values] + [("eval k", eval_k)]:
         if k >= points:
-            raise InvalidParameterError(
-                f"sweep k={k} must be below n_points={points}"
-            )
+            raise InvalidParameterError(f"{what}={k} must be below n_points={points}")
 
-    def run(sc):
+    def run(**chain):
+        sc = stage_config(SamplerConfig, cfg, seed=cfg.seed, terminal_denoise=False,
+                          record_trajectory=False, **chain)
         clouds, _ = generate(
             bundle.decoder, schedule, sc, count, points, latent_field=bundle.latent
         )
         return _mean_smoothness(clouds, eval_k)
 
-    common = dict(
-        n_steps=steps, seed=seed, t_floor=cfg.sample_t_floor,
-        t_constraint=_pick(args.t_constraint, cfg.sample_t_constraint),
-        graph_refresh_stride=cfg.sample_graph_refresh_stride,
-    )
-    baseline = run(SamplerConfig(alpha=0.0, knn_k=eval_k, constraint_mode="off", **common))
     ref_mean = _mean_smoothness(reference, eval_k)
+    baseline = run(alpha=0.0, knn_k=eval_k, constraint_mode="off")
 
     if args.out:
         out_path = args.out
@@ -332,7 +274,7 @@ def cmd_sweep_k(args, cfg):
     with open(out_path, "w", newline="") as fh:
         fh.write("k,mean_smoothness,rs,baseline_smoothness\n")
         for k in k_values:
-            mean_s = run(SamplerConfig(alpha=alpha, knn_k=k, constraint_mode=mode, **common))
+            mean_s = run(alpha=alpha, knn_k=k, constraint_mode=args.mode)
             rs_value = abs(mean_s - ref_mean)
             fh.write(f"{k},{mean_s!r},{rs_value!r},{baseline!r}\n")
             print(f"k={k}: mean_smoothness={mean_s:.6f} rs={rs_value:.6f} "
@@ -342,9 +284,8 @@ def cmd_sweep_k(args, cfg):
 
 
 def cmd_denoise_demo(args, cfg):
-    seed = _pick(args.seed, cfg.seed)
-    schedule = make_schedule(cfg)
-    rng = np.random.default_rng(seed)
+    schedule = stage_config(DiffusionSchedule, cfg)
+    rng = np.random.default_rng(cfg.seed)
 
     # Tweedie vs the conjugate-Gaussian posterior mean.
     worst = 0.0
@@ -386,7 +327,7 @@ def cmd_denoise_demo(args, cfg):
         [(2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)], 0.3, [0.5, 0.5], schedule
     )
     sampler_cfg = SamplerConfig(
-        n_steps=args.steps, alpha=0.0, constraint_mode="off", seed=seed
+        n_steps=args.steps, alpha=0.0, constraint_mode="off", seed=cfg.seed
     )
     clouds, _ = generate(demo_field, schedule, sampler_cfg, 1, args.samples)
     pts = clouds[0].points
@@ -412,6 +353,8 @@ def _gmm_logpdf(field, x, t):
 
 
 def build_parser():
+    """The CLI parser. A flag that overrides a config key uses that key as
+    its dest; the other arguments belong to their command."""
     parser = argparse.ArgumentParser(
         prog="smoothdiff",
         description="Smoothness-constrained diffusion point cloud generation.",
@@ -423,50 +366,61 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic shape dataset")
-    p.add_argument("--kind", choices=["sphere", "torus", "plane_grid", "helix"])
-    p.add_argument("--count", type=int, help="number of clouds")
-    p.add_argument("--points", type=int, help="points per cloud")
-    p.add_argument("--noise-std", type=float, help="Gaussian jitter per coordinate")
+    p.add_argument("--kind", dest="shape_kind",
+                   choices=["sphere", "torus", "plane_grid", "helix"])
+    p.add_argument("--count", dest="shape_n_clouds", type=int, help="number of clouds")
+    p.add_argument("--points", dest="shape_n_points", type=int, help="points per cloud")
+    p.add_argument("--noise-std", dest="shape_noise_std", type=float,
+                   help="Gaussian jitter per coordinate")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[common], help="train the generative model")
-    p.add_argument("--data", help="directory of .xyz training clouds")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--data", dest="data_dir", help="directory of .xyz training clouds")
+    p.add_argument("--epochs", dest="train_epochs", type=int)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", parents=[common], help="generate clouds from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, help="number of clouds")
-    p.add_argument("--points", type=int, help="points per cloud")
-    p.add_argument("--steps", type=int, help="reverse diffusion steps")
-    p.add_argument("--alpha", type=float, help="smoothness constraint weight")
-    p.add_argument("--knn-k", type=int, help="constraint graph k")
-    p.add_argument("--stride", type=int, help="graph refresh stride")
-    p.add_argument("--mode", choices=["off", "frozen", "exact"])
-    p.add_argument("--t-constraint", type=float, dest="t_constraint",
+    p.add_argument("--count", dest="sample_n_clouds", type=int, help="number of clouds")
+    p.add_argument("--points", dest="sample_n_points", type=int, help="points per cloud")
+    p.add_argument("--steps", dest="sample_n_steps", type=int,
+                   help="reverse diffusion steps")
+    p.add_argument("--alpha", dest="sample_alpha", type=float,
+                   help="smoothness constraint weight")
+    p.add_argument("--knn-k", dest="sample_knn_k", type=int, help="constraint graph k")
+    p.add_argument("--stride", dest="sample_graph_refresh_stride", type=int,
+                   help="graph refresh stride")
+    p.add_argument("--mode", dest="sample_constraint_mode", action=_ModeFlag,
+                   choices=list(MODE_FLAG_MAP))
+    p.add_argument("--t-constraint", dest="sample_t_constraint", type=float,
                    help="apply the constraint only while t <= this")
-    p.add_argument("--terminal-denoise", action="store_true")
-    p.add_argument("--record-trajectory", action="store_true")
+    p.add_argument("--terminal-denoise", dest="sample_terminal_denoise",
+                   action="store_const", const=True)
+    p.add_argument("--record-trajectory", dest="sample_record_trajectory",
+                   action="store_const", const=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", parents=[common], help="compare generated and reference sets")
     p.add_argument("--reference", required=True)
     p.add_argument("--generated", required=True)
-    p.add_argument("--knn-k", type=int, help="k for the smoothness metrics")
+    p.add_argument("--knn-k", dest="eval_knn_k", type=int,
+                   help="k for the smoothness metrics")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-k", parents=[common], help="constraint-k sensitivity sweep")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--k-values", default="5,10,15,20,25,30,35")
-    p.add_argument("--eval-k", type=int, help="fixed k for measuring smoothness")
-    p.add_argument("--count", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--eval-k", dest="eval_knn_k", type=int,
+                   help="fixed k for measuring smoothness")
+    p.add_argument("--count", dest="sample_n_clouds", type=int)
+    p.add_argument("--points", dest="sample_n_points", type=int)
+    p.add_argument("--steps", dest="sample_n_steps", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=["frozen", "exact"], default="frozen")
-    p.add_argument("--t-constraint", type=float, dest="t_constraint",
+    p.add_argument("--mode", action=_ModeFlag, choices=["frozen", "exact"],
+                   default=MODE_FLAG_MAP["frozen"])
+    p.add_argument("--t-constraint", dest="sample_t_constraint", type=float,
                    help="apply the constraint only while t <= this")
     p.set_defaults(func=cmd_sweep_k)
 
@@ -480,9 +434,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in RunConfig.__dataclass_fields__ and value is not None}
     try:
         cfg = load_run_config(args.config) if args.config else RunConfig()
-        return args.func(args, cfg)
+        return args.func(args, dataclasses.replace(cfg, **overrides))
     except (ConfigError, InvalidParameterError, UnsupportedModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,18 @@ key must be a known field; unknown or duplicate keys fail loudly so a typo
 cannot silently fall back to a default. Values are typed (int, float, bool,
 str) from the field declarations and round-trip losslessly through
 dump_run_config / parse_run_config.
+
+Key K = <prefix><field> feeds that field of one stage dataclass (see
+STAGE_PREFIXES and stage_config); the remaining keys are read by the
+commands themselves.
 """
 
 import typing
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .geometry import ShapeSpec
+from .sampler import SamplerConfig
 from .score_models import ModelConfig
 from .sde import EPS_T, DiffusionSchedule
 from .training import TrainConfig
@@ -20,10 +26,11 @@ from .training import TrainConfig
 class RunConfig:
     """Every knob for the synth / train / sample / eval pipeline.
 
-    Command-line flags override these values; the single seed feeds whichever
-    stage runs. Desk-scale defaults throughout: clouds of 256 points, a
-    64-dimensional latent code, 200 sampling steps. Paper-scale values
-    (N=2048, 1000 steps, latent 256) are reachable by overriding.
+    A command-line flag overrides the key that is its argparse dest; the
+    single seed feeds whichever stage runs. Desk-scale defaults throughout:
+    clouds of 256 points, a 64-dimensional latent code, 200 sampling steps.
+    Paper-scale values (N=2048, 1000 steps, latent 256) are reachable by
+    overriding.
     """
 
     data_dir: str = ""
@@ -60,7 +67,6 @@ class RunConfig:
     train_t_floor: float = 1e-3
     train_lr_constant_epochs: int = 1000
     train_lr_decay_epochs: int = 1000
-    train_entropy_mode: str = "closed_form"
     train_log_every: int = 100
 
     sample_n_steps: int = 200
@@ -148,37 +154,24 @@ def dump_run_config(config):
     return "\n".join(lines) + "\n"
 
 
-def save_run_config(config, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(dump_run_config(config))
+# The RunConfig key prefix of each stage dataclass: key = prefix + field name.
+STAGE_PREFIXES = {
+    DiffusionSchedule: "",
+    ModelConfig: "model_",
+    ShapeSpec: "shape_",
+    TrainConfig: "train_",
+    SamplerConfig: "sample_",
+}
 
 
-def make_schedule(config):
-    return DiffusionSchedule(beta_min=config.beta_min, beta_max=config.beta_max)
+def stage_config(cls, config, **extras):
+    """Build stage dataclass cls from the RunConfig keys under its prefix.
 
-
-def make_model_config(config):
-    return ModelConfig(
-        latent_dim=config.model_latent_dim,
-        decoder_width=config.model_decoder_width,
-        decoder_blocks=config.model_decoder_blocks,
-        temb_dim=config.model_temb_dim,
-        encoder_width=config.model_encoder_width,
-        latent_width=config.model_latent_width,
-        latent_blocks=config.model_latent_blocks,
-    )
-
-
-def make_train_config(config, epochs=None, seed=None):
-    return TrainConfig(
-        epochs=config.train_epochs if epochs is None else epochs,
-        batch_size=config.train_batch_size,
-        lr_encoder=config.train_lr_encoder,
-        lr_decoder=config.train_lr_decoder,
-        lr_latent=config.train_lr_latent,
-        seed=config.seed if seed is None else seed,
-        t_floor=config.train_t_floor,
-        lr_constant_epochs=config.train_lr_constant_epochs,
-        lr_decay_epochs=config.train_lr_decay_epochs,
-        entropy_mode=config.train_entropy_mode,
-    )
+    Every field reads the key prefix + field name unless extras give it
+    (seeds, or values a command sets itself). A field with neither raises
+    AttributeError, so a renamed key cannot fall back to a stage default.
+    """
+    prefix = STAGE_PREFIXES[cls]
+    values = {f.name: getattr(config, prefix + f.name)
+              for f in fields(cls) if f.name not in extras}
+    return cls(**values, **extras)

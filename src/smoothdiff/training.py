@@ -37,7 +37,6 @@ class TrainConfig:
     t_floor: float = 1e-3
     lr_constant_epochs: int = 1000
     lr_decay_epochs: int = 1000
-    entropy_mode: str = "closed_form"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -51,11 +50,6 @@ class TrainConfig:
             raise InvalidParameterError("t_floor must lie in (0, 1)")
         if self.lr_constant_epochs < 0 or self.lr_decay_epochs < 1:
             raise InvalidParameterError("invalid learning-rate schedule lengths")
-        if self.entropy_mode not in ("closed_form", "monte_carlo"):
-            raise InvalidParameterError(
-                f"entropy_mode must be closed_form or monte_carlo, got "
-                f"{self.entropy_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,25 @@ def lr_factor(epoch, constant_epochs, decay_epochs):
     return max(0.0, 1.0 - (epoch - constant_epochs) / float(decay_epochs))
 
 
+def _dsm(score, x0, t, noise, schedule):
+    """Denoising score matching at time t: the one loss path of training.
+
+    score(xt) returns the net's score at xt = a(t) x0 + b(t) noise and a value
+    handed back unchanged (a backward cache). The target is the conditional
+    score -noise / b(t). The loss is g(t)^2 / 2 times the squared residual
+    norm, averaged over the points axis when there is one. Returns
+    (loss, d loss / d score, the value from score).
+    """
+    b = schedule.diffusion_std(t)
+    g2 = schedule.beta(t)
+    s, extra = score(schedule.perturb(x0, t, noise))
+    resid = s - -noise / b
+    if resid.ndim == 1:
+        return 0.5 * g2 * float(np.dot(resid, resid)), g2 * resid, extra
+    loss = 0.5 * g2 * float(np.mean(np.sum(resid * resid, axis=-1)))
+    return loss, (g2 / resid.shape[0]) * resid, extra
+
+
 def recon_dsm_loss(net, x0, z, t, noise, schedule):
     """Denoising score-matching loss for the conditional point score net.
 
@@ -107,10 +120,8 @@ def recon_dsm_loss(net, x0, z, t, noise, schedule):
     """
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    xt = schedule.perturb(x0, t, noise)
-    target = schedule.conditional_score_target(x0, xt, t)
-    resid = np.asarray(net.evaluate(xt, z, t), dtype=np.float64) - target
-    return 0.5 * schedule.beta(t) * float(np.mean(np.sum(resid * resid, axis=-1)))
+    return _dsm(lambda xt: (np.asarray(net.evaluate(xt, z, t), dtype=np.float64), None),
+                x0, t, noise, schedule)[0]
 
 
 def latent_dsm_loss(net, z0, t, noise, schedule):
@@ -119,30 +130,13 @@ def latent_dsm_loss(net, z0, t, noise, schedule):
     Same construction as recon_dsm_loss but the whole code is one sample, so
     the squared residual norm is not averaged over a points axis.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    zt = schedule.perturb(z0, t, noise)
-    target = schedule.conditional_score_target(z0, zt, t)
-    resid = np.asarray(net.evaluate(zt, None, t), dtype=np.float64) - target
-    return 0.5 * schedule.beta(t) * float(np.dot(resid, resid))
+    return recon_dsm_loss(net, z0, None, t, noise, schedule)
 
 
 def entropy_term(mean, logvar):
     """Differential entropy of N(mean, diag exp(logvar)), closed form."""
     logvar = np.asarray(logvar, dtype=np.float64)
     return 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
-
-
-def entropy_term_mc(mean, logvar, noise):
-    """Single-sample estimate -log q(z0) at z0 = mean + exp(logvar/2) noise.
-
-    Shares the reparameterization noise with the training draw; its gradient
-    with respect to (mean, logvar) matches the closed form exactly because
-    (z0 - mean)^2 / var reduces to noise^2.
-    """
-    logvar = np.asarray(logvar, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    return 0.5 * float(np.sum(logvar + LOG_2PI + noise * noise))
 
 
 def _cloud_losses(bundle, points, schedule, config, rng):
@@ -157,31 +151,17 @@ def _cloud_losses(bundle, points, schedule, config, rng):
 
     mean, logvar, enc_cache = bundle.encoder.forward(points)
     z0 = reparameterize(mean, logvar, eps_z)
+    loss_x, ds_x, dec_cache = _dsm(
+        lambda xt: bundle.decoder.forward(xt, z0, t), points, t, noise_x, schedule
+    )
+    loss_z, ds_z, lat_cache = _dsm(
+        lambda zt: bundle.latent.forward(zt, t), z0, t, noise_z, schedule
+    )
+    ent = entropy_term(mean, logvar)
 
-    a = schedule.drift_coef(t)
-    b = schedule.diffusion_std(t)
-    g2 = schedule.beta(t)
-
-    xt = a * points + b * noise_x
-    target_x = -noise_x / b
-    s_x, dec_cache = bundle.decoder.forward(xt, z0, t)
-    r_x = s_x - target_x
-    loss_x = 0.5 * g2 * float(np.mean(np.sum(r_x * r_x, axis=-1)))
-
-    zt = a * z0 + b * noise_z
-    target_z = -noise_z / b
-    s_z, lat_cache = bundle.latent.forward(zt, t)
-    r_z = s_z - target_z
-    loss_z = 0.5 * g2 * float(np.dot(r_z, r_z))
-
-    if config.entropy_mode == "monte_carlo":
-        ent = entropy_term_mc(mean, logvar, eps_z)
-    else:
-        ent = entropy_term(mean, logvar)
-
-    g_dec, _, dz_dec = bundle.decoder.backward(dec_cache, (g2 / n) * r_x)
-    g_lat, dzt = bundle.latent.backward(lat_cache, g2 * r_z)
-    dz0 = dz_dec + a * dzt
+    g_dec, _, dz_dec = bundle.decoder.backward(dec_cache, ds_x)
+    g_lat, dzt = bundle.latent.backward(lat_cache, ds_z)
+    dz0 = dz_dec + schedule.drift_coef(t) * dzt
     dmean = dz0
     # d(total)/dlogvar: reparameterization path plus -1/2 from the entropy.
     dlogvar = dz0 * eps_z * 0.5 * np.exp(0.5 * logvar) - 0.5

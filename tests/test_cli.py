@@ -1,15 +1,25 @@
 """End-to-end command-line tests, run in-process via main(argv)."""
 
+import argparse
 import csv
+import dataclasses
 import filecmp
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from smoothdiff import load_checkpoint, save_checkpoint
-from smoothdiff.cli import main
+import smoothdiff.cli as cli
+from smoothdiff import (
+    RunConfig,
+    dump_run_config,
+    load_checkpoint,
+    load_run_config,
+    save_checkpoint,
+)
+from smoothdiff.cli import build_parser, main
 
 TINY_CFG = """\
 model_latent_dim = 8
@@ -181,6 +191,20 @@ def test_sample_deterministic_per_seed(pipeline, tmp_path):
     assert not filecmp.cmp(a / "sample_0000.xyz", c / "sample_0000.xyz", shallow=False)
 
 
+def test_manifest_hash_covers_flags(pipeline, tmp_path):
+    base = ["sample", "--config", pipeline["cfg"], "--checkpoint", pipeline["ckpt"],
+            "--steps", "3"]
+    hashes = []
+    for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+        assert main(base + ["--out", str(tmp_path / name), "--seed", seed]) == 0
+        manifest = json.load(open(tmp_path / name / "manifest.json"))
+        hashes.append(manifest["config_sha256"])
+    assert hashes[0] == hashes[1] != hashes[2]
+    effective = dataclasses.replace(load_run_config(pipeline["cfg"]), seed=5,
+                                    sample_n_steps=3)
+    assert hashes[0] == hashlib.sha256(dump_run_config(effective).encode()).hexdigest()
+
+
 def test_sample_alpha_mode_conflict(pipeline, tmp_path, capsys):
     code = main(["sample", "--config", pipeline["cfg"], "--checkpoint",
                  pipeline["ckpt"], "--out", str(tmp_path / "x"),
@@ -307,7 +331,39 @@ def test_sweep_k_validation(pipeline, tmp_path):
                         "--points", "20", "--steps", "5"]) == 2
 
 
+def test_sweep_k_checks_eval_k_before_sampling(pipeline, tmp_path, monkeypatch, capsys):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the k values were checked")
+
+    monkeypatch.setattr(cli, "generate", no_chain)
+    assert main(["sweep-k", "--config", pipeline["cfg"], "--checkpoint",
+                 pipeline["ckpt"], "--reference", pipeline["synth"],
+                 "--out", str(tmp_path / "s.csv"), "--k-values", "3",
+                 "--eval-k", "40", "--points", "20", "--steps", "5"]) == 2
+    assert "eval k=40 must be below n_points=20" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ------------------------------------------------------------------- misc
+
+
+# Arguments that are not config overrides: their meaning or default differs.
+COMMAND_ARGS = {
+    "help", "command", "config", "out", "checkpoint", "resume", "reference",
+    "generated", "k_values", "alpha", "mode", "steps", "samples",
+}
+
+
+def test_flag_dests_are_config_keys_or_command_args():
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            assert action.dest in keys | COMMAND_ARGS, (name, action.dest)
+            if action.dest in keys:
+                # an absent flag must leave the config value alone
+                assert action.default is None, (name, action.dest)
 
 
 def test_denoise_demo_reports_small_errors(capsys):

@@ -6,15 +6,24 @@ import pytest
 
 from smoothdiff import (
     ConfigError,
+    DiffusionSchedule,
+    ModelConfig,
     RunConfig,
+    SamplerConfig,
+    ShapeSpec,
+    TrainConfig,
     dump_run_config,
     load_run_config,
-    make_model_config,
-    make_schedule,
-    make_train_config,
     parse_run_config,
-    save_run_config,
+    stage_config,
 )
+from smoothdiff.config import STAGE_PREFIXES
+
+# Keys that the commands read themselves rather than pass to a stage.
+COMMAND_KEYS = {
+    "data_dir", "output_dir", "seed", "shape_n_clouds", "sample_n_clouds",
+    "sample_n_points", "train_log_every", "eval_knn_k",
+}
 
 
 def test_defaults_round_trip():
@@ -79,7 +88,7 @@ def test_bool_spelling():
 def test_file_round_trip(tmp_path):
     cfg = RunConfig(seed=12, beta_max=18.5, shape_kind="sphere")
     path = tmp_path / "run.cfg"
-    save_run_config(cfg, path)
+    path.write_text(dump_run_config(cfg))
     assert load_run_config(path) == cfg
 
 
@@ -91,11 +100,35 @@ def test_missing_file_raises_config_error(tmp_path):
 def test_factory_helpers():
     cfg = RunConfig(beta_min=0.2, beta_max=10.0, model_latent_dim=12, seed=7,
                     train_epochs=5)
-    sched = make_schedule(cfg)
+    sched = stage_config(DiffusionSchedule, cfg)
     assert sched.beta_min == 0.2 and sched.beta_max == 10.0
-    mc = make_model_config(cfg)
+    mc = stage_config(ModelConfig, cfg)
     assert mc.latent_dim == 12
-    tc = make_train_config(cfg)
+    tc = stage_config(TrainConfig, cfg, seed=cfg.seed)
     assert tc.epochs == 5 and tc.seed == 7
-    tc2 = make_train_config(cfg, epochs=9, seed=1)
+    tc2 = stage_config(TrainConfig, cfg, epochs=9, seed=1)
     assert tc2.epochs == 9 and tc2.seed == 1
+
+
+def test_every_key_feeds_one_stage_field_or_a_command():
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    fed, unfed = [], set()
+    for cls, prefix in STAGE_PREFIXES.items():
+        for f in dataclasses.fields(cls):
+            if prefix + f.name in keys:
+                fed.append(prefix + f.name)
+            else:
+                unfed.add((cls.__name__, f.name))
+    assert len(fed) == len(set(fed))
+    assert set(fed).isdisjoint(COMMAND_KEYS)
+    assert set(fed) | COMMAND_KEYS == keys
+    # The only stage fields no key feeds are the seeds each command passes.
+    assert unfed == {("ShapeSpec", "rng_seed"), ("TrainConfig", "seed"),
+                     ("SamplerConfig", "seed")}
+
+
+def test_stage_config_requires_unfed_fields():
+    with pytest.raises(AttributeError, match="sample_seed"):
+        stage_config(SamplerConfig, RunConfig())
+    spec = stage_config(ShapeSpec, RunConfig(shape_turns=4.5), rng_seed=3)
+    assert spec.turns == 4.5 and spec.rng_seed == 3 and spec.kind == "torus"

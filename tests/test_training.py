@@ -12,11 +12,11 @@ from smoothdiff import (
     TrainConfig,
     build_models,
     entropy_term,
-    entropy_term_mc,
     latent_dsm_loss,
     lr_factor,
     make_optimizers,
     recon_dsm_loss,
+    reparameterize,
     train,
     train_step,
 )
@@ -93,17 +93,6 @@ def test_entropy_closed_form_values():
     assert entropy_term(np.zeros(d), np.full(d, 2.0)) == pytest.approx(base + d, rel=1e-14)
 
 
-def test_entropy_mc_estimates_closed_form(rng):
-    mean = rng.standard_normal(6)
-    logvar = rng.uniform(-1.0, 1.0, 6)
-    exact = entropy_term(mean, logvar)
-    draws = np.array(
-        [entropy_term_mc(mean, logvar, rng.standard_normal(6)) for _ in range(4000)]
-    )
-    se = draws.std(ddof=1) / np.sqrt(draws.size)
-    assert abs(draws.mean() - exact) < 4.0 * se + 1e-9
-
-
 def test_loss_report_total():
     rep = LossReport(epoch=3, recon=1.5, latent=0.25, entropy=2.0)
     assert rep.total == pytest.approx(1.5 + 0.25 - 2.0)
@@ -144,6 +133,21 @@ def test_cloud_losses_gradient_matches_fd(tiny_bundle):
         fd = numeric_grad(total_for(name), base.copy(), eps=1e-6)
         net.params[:] = base
         assert np.max(np.abs(grad - fd)) < 2e-6, name
+
+
+def test_training_losses_are_the_public_dsm_losses(tiny_bundle):
+    """The losses training reports are recon_dsm_loss and latent_dsm_loss
+    of the same draws, bit for bit, so criterion 8 covers the training path."""
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((7, 3))
+    t = 0.31
+    eps_z, noise_x, noise_z = (rng.standard_normal(s) for s in (6, (7, 3), 6))
+    draws = FixedRng(t, [eps_z, noise_x, noise_z])
+    lx, lz, *_ = _cloud_losses(tiny_bundle, points, SCHEDULE, TrainConfig(), draws)
+    mean, logvar, _ = tiny_bundle.encoder.forward(points)
+    z0 = reparameterize(mean, logvar, eps_z)
+    assert lx == recon_dsm_loss(tiny_bundle.decoder, points, z0, t, noise_x, SCHEDULE)
+    assert lz == latent_dsm_loss(tiny_bundle.latent, z0, t, noise_z, SCHEDULE)
 
 
 # ------------------------------------------------------------- optimizer
