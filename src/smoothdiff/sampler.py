@@ -109,13 +109,15 @@ def tweedie_denoise(xt, score, t, schedule):
     return (xt + b * b * score) / a
 
 
-def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None):
+def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None,
+                        cache=None):
     """Gradient of trace(Xhat^T L Xhat) with respect to the noisy state.
 
     With Xhat = (xt + b^2 s(xt)) / a the exact chain rule gives
     (G + b^2 J_s^T G) / a where G = 2 L Xhat; "frozen_score" keeps only the
     first term. Returns zeros for mode "off". Passing a precomputed score
-    skips one field evaluation.
+    skips one field evaluation, and passing the cache from the field's
+    evaluate_cached with it lets input_vjp skip the forward pass.
     """
     xt = np.asarray(xt, dtype=np.float64)
     if mode not in CONSTRAINT_MODES:
@@ -125,25 +127,29 @@ def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None):
     if mode == "off":
         return np.zeros_like(xt)
     if score is None:
-        score = field.evaluate(xt, z, t)
+        score, cache = field.evaluate_cached(xt, z, t)
     a = schedule.drift_coef(t)
     b = schedule.diffusion_std(t)
     xhat = tweedie_denoise(xt, score, t, schedule)
     g_hat = smoothness_gradient(xhat, laplacian)
     if mode == "frozen_score":
         return g_hat / a
-    vjp = field.input_vjp(xt, z, t, g_hat)
+    # A field without a cache may implement the four-argument input_vjp only.
+    kwargs = {} if cache is None else {"cache": cache}
+    vjp = field.input_vjp(xt, z, t, g_hat, **kwargs)
     return (g_hat + b * b * vjp) / a
 
 
 def _reverse_chain(field, z, shape, schedule, config, rng, what):
     """Euler-Maruyama from t = 1 down to t_floor, from a standard-normal state.
 
-    Each step evaluates the score, refreshes the Tweedie-denoised estimate and
-    its graph when the constraint is active or the trajectory is recorded,
-    takes the Euler step, and subtracts alpha times the constraint gradient
-    while t <= t_constraint. Returns (final state, trajectory rows or None).
-    A non-finite state aborts with the step, t and `what` in the message.
+    Each step evaluates the score (keeping the field's cache on guided
+    exact-chain steps, for the input VJP), refreshes the Tweedie-denoised
+    estimate and its graph when the constraint is active or the trajectory is
+    recorded, takes the Euler step, and subtracts alpha times the constraint
+    gradient while t <= t_constraint. Returns (final state, trajectory rows
+    or None). A non-finite state aborts with the step, t and `what` in the
+    message.
     """
     dt = (1.0 - config.t_floor) / config.n_steps
     x = rng.standard_normal(shape)
@@ -151,10 +157,13 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
     rows = [] if config.record_trajectory else None
     for k in range(config.n_steps):
         t = 1.0 - k * dt
-        score = np.asarray(field.evaluate(x, z, t), dtype=np.float64)
+        active = config.constrained and t <= config.t_constraint
+        exact = active and config.constraint_mode == "exact_chain"
+        score, cache = (field.evaluate_cached(x, z, t) if exact
+                        else (field.evaluate(x, z, t), None))
+        score = np.asarray(score, dtype=np.float64)
         if score.shape != x.shape:
             raise InvalidInputError("score shape does not match the state")
-        active = config.constrained and t <= config.t_constraint
         if active or rows is not None:
             xhat = tweedie_denoise(x, score, t, schedule)
             if lap is None or k % config.graph_refresh_stride == 0:
@@ -166,10 +175,12 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
         x_next = x - drift * dt + g * np.sqrt(dt) * rng.standard_normal(shape)
         if active:
             grad = constraint_gradient(
-                x, field, z, t, lap, config.constraint_mode, schedule, score=score
+                x, field, z, t, lap, config.constraint_mode, schedule,
+                score=score, cache=cache,
             )
             x_next = x_next - config.alpha * grad
-        x = x_next
+        # Drop the forward cache so that it is not held through the next forward.
+        x, cache = x_next, None
         if not np.all(np.isfinite(x)):
             raise NumericalAbortError(f"step {k}, t={t!r}: non-finite {what}")
     return x, rows

@@ -7,9 +7,15 @@ the latent code, a per-point conditional score net for the decoder, and a
 score net for the latent prior. The two score nets are one residual MLP over
 rows of (state, time embedding): the decoder runs one row per point with the
 latent code joining every block, the latent prior runs its code as a single
-row with no conditioning. All parameters live in flat float64 vectors and
-every network implements explicit reverse-mode backprop, so gradients are
-checkable against finite differences without a framework dependency.
+row with no conditioning. The time embedding and the code are the same in
+every row, so their products with the input and block weights are formed
+once per call as width-long vectors. A forward pass returns its cache,
+(state, time embedding, code, block inputs h, sigmoids, SiLU outputs):
+backward reads the parameter gradients from it, and input_vjp reuses the
+one the sampler kept from its score evaluation. All parameters live in flat
+float64 vectors and every network implements explicit reverse-mode
+backprop, so gradients are checkable against finite differences without a
+framework dependency.
 """
 
 import abc
@@ -24,14 +30,19 @@ LOGVAR_MIN = -20.0
 LOGVAR_MAX = 4.0
 
 
-def silu(x):
-    """Sigmoid-weighted linear unit, x * sigmoid(x); smooth (C^inf)."""
-    return x * expit(x)
+def _silu_inplace(x):
+    """Overwrite x with SiLU x * sigmoid(x); return sigmoid(x) for backward."""
+    sig = expit(x)
+    x *= sig
+    return sig
 
 
-def silu_grad(x):
-    s = expit(x)
-    return s * (1.0 + x * (1.0 - s))
+def _silu_slope(sig, act):
+    """SiLU derivative s (1 + x (1 - s)) = s + act (1 - s) from the cache."""
+    slope = 1.0 - sig
+    slope *= act
+    slope += sig
+    return slope
 
 
 def time_embedding(t, dim):
@@ -91,13 +102,19 @@ class ScoreField(abc.ABC):
     Output shape equals the state shape. Fields that can differentiate their
     output with respect to the state override input_vjp; the default raises,
     which is how the sampler detects unsupported exact-chain guidance.
+    evaluate_cached also returns what the field's input_vjp can reuse from
+    that evaluation (None by default); input_vjp takes it as `cache`.
     """
 
     @abc.abstractmethod
     def evaluate(self, xt, z, t):
         ...
 
-    def input_vjp(self, xt, z, t, upstream):
+    def evaluate_cached(self, xt, z, t):
+        """(score, cache or None) for a later input_vjp at the same point."""
+        return self.evaluate(xt, z, t), None
+
+    def input_vjp(self, xt, z, t, upstream, cache=None):
         """Vector-Jacobian product upstream^T d(score)/d(xt)."""
         raise UnsupportedModeError(
             f"{type(self).__name__} does not provide input gradients"
@@ -109,7 +126,8 @@ class GaussianMixtureScore(ScoreField):
 
     If p_0 is sum_k w_k N(mu_k, sigma0^2 I), the perturbed marginal at time t
     is sum_k w_k N(a_t mu_k, (a_t^2 sigma0^2 + b_t^2) I), so the score (and its
-    Jacobian) are exact. Serves as the analytic oracle for the sampler.
+    Jacobian) are exact. Serves as the analytic oracle for the sampler. Its
+    cache is the responsibilities with the perturbed means and variance.
     """
 
     def __init__(self, means, sigma0, weights, schedule):
@@ -142,16 +160,20 @@ class GaussianMixtureScore(ScoreField):
         gamma /= gamma.sum(axis=1, keepdims=True)
         return gamma, m, var
 
-    def evaluate(self, xt, z, t):
+    def evaluate_cached(self, xt, z, t):
         xt = np.asarray(xt, dtype=np.float64)
         squeeze = xt.ndim == 1
         if squeeze:
             xt = xt[None, :]
-        gamma, m, var = self._responsibilities(xt, t)
+        cache = self._responsibilities(xt, t)
+        gamma, m, var = cache
         score = (gamma @ m - xt) / var
-        return score[0] if squeeze else score
+        return (score[0] if squeeze else score), cache
 
-    def input_vjp(self, xt, z, t, upstream):
+    def evaluate(self, xt, z, t):
+        return self.evaluate_cached(xt, z, t)[0]
+
+    def input_vjp(self, xt, z, t, upstream, cache=None):
         # Per-point Hessian of log p_t: -I/var + sum_k gamma_k s_k s_k^T - s s^T
         # with s_k = (m_k - x)/var; symmetric, so the VJP is H @ upstream.
         xt = np.asarray(xt, dtype=np.float64)
@@ -159,7 +181,9 @@ class GaussianMixtureScore(ScoreField):
         squeeze = xt.ndim == 1
         if squeeze:
             xt, upstream = xt[None, :], upstream[None, :]
-        gamma, m, var = self._responsibilities(xt, t)
+        if cache is None:
+            cache = self._responsibilities(xt, t)
+        gamma, m, var = cache
         s_k = (m[None, :, :] - xt[:, None, :]) / var  # (N, K, D)
         s = np.einsum("nk,nkd->nd", gamma, s_k)
         sk_g = np.einsum("nkd,nd->nk", s_k, upstream)
@@ -177,10 +201,11 @@ class _ResidualMlp(ScoreField):
     Each row runs through an input layer, n_blocks residual blocks
     h + W2 silu(W1 [h, code] + b1) + b2 and an output layer. The conditioning
     code (cond_dim entries; none when cond_dim is 0) joins the input of every
-    block. The output layer starts at zero, so a fresh net's score is
-    identically zero. Parameter slots, in order: in_w, in_b, then b{k}_w1,
-    b{k}_b1, b{k}_w2, b{k}_b2 per block, then out_w, out_b; this order is the
-    checkpoint format.
+    block; its columns of W1, like the time-embedding columns of in_w, are
+    applied once per call, as width-long vectors added to every row. The
+    output layer starts at zero, so a fresh net's score is identically zero.
+    Parameter slots, in order: in_w, in_b, then b{k}_w1, b{k}_b1, b{k}_w2,
+    b{k}_b2 per block, then out_w, out_b; this order is the checkpoint format.
     """
 
     def __init__(self, latent_dim, width, n_blocks, temb_dim, params, rng,
@@ -217,54 +242,71 @@ class _ResidualMlp(ScoreField):
 
     def _forward_rows(self, state, code, t):
         """Scores for state rows (R, state_dim) under code (cond_dim,)."""
-        n = state.shape[0]
+        sd, w = self.state_dim, self.width
         temb = time_embedding(t, self.temb_dim)
-        inp = np.concatenate([state, np.tile(temb, (n, 1))], axis=1)
-        h = inp @ self._p("in_w").T + self._p("in_b")
-        code_rows = np.tile(code, (n, 1))
-        hs, pres, acts = [h], [], []
+        in_w = self._p("in_w")
+        h = state @ in_w[:, :sd].T
+        h += in_w[:, sd:] @ temb + self._p("in_b")
+        hs, sigs, acts = [h], [], []
         for k in range(self.n_blocks):
-            u = np.concatenate([h, code_rows], axis=1)
-            pre = u @ self._p(f"b{k}_w1").T + self._p(f"b{k}_b1")
-            act = silu(pre)
-            h = h + act @ self._p(f"b{k}_w2").T + self._p(f"b{k}_b2")
-            hs.append(h)
-            pres.append(pre)
+            w1 = self._p(f"b{k}_w1")
+            act = h @ w1[:, :w].T
+            act += w1[:, w:] @ code + self._p(f"b{k}_b1")
+            sigs.append(_silu_inplace(act))
             acts.append(act)
-        out = h @ self._p("out_w").T + self._p("out_b")
-        return out, (inp, code, hs, pres, acts)
+            h = act @ self._p(f"b{k}_w2").T
+            h += hs[-1]
+            h += self._p(f"b{k}_b2")
+            hs.append(h)
+        out = h @ self._p("out_w").T
+        out += self._p("out_b")
+        return out, (state, temb, code, hs, sigs, acts)
 
     def _backward_rows(self, cache, upstream):
         """Backprop an (R, state_dim) upstream gradient.
 
         Returns (flat parameter gradient, d/d state rows, d/d code).
         """
-        inp, code, hs, pres, acts = cache
-        w = self.width
+        state, temb, code, hs, sigs, acts = cache
+        sd, w = self.state_dim, self.width
         g = np.zeros(self.layout.size)
 
-        def acc(name, value):
-            self.layout.view(g, name)[...] = value
+        def grad(name):
+            return self.layout.view(g, name)
 
-        acc("out_w", upstream.T @ hs[-1])
-        acc("out_b", upstream.sum(axis=0))
+        grad("out_w")[...] = upstream.T @ hs[-1]
+        grad("out_b")[...] = upstream.sum(axis=0)
         dh = upstream @ self._p("out_w")
         dcode = np.zeros(self.cond_dim)
-        code_rows = np.tile(code, (inp.shape[0], 1))
         for k in reversed(range(self.n_blocks)):
-            u = np.concatenate([hs[k], code_rows], axis=1)
-            acc(f"b{k}_b2", dh.sum(axis=0))
-            acc(f"b{k}_w2", dh.T @ acts[k])
-            dpre = (dh @ self._p(f"b{k}_w2")) * silu_grad(pres[k])
-            acc(f"b{k}_b1", dpre.sum(axis=0))
-            acc(f"b{k}_w1", dpre.T @ u)
-            du = dpre @ self._p(f"b{k}_w1")
-            dh = dh + du[:, :w]
-            dcode += du[:, w:].sum(axis=0)
-        acc("in_w", dh.T @ inp)
-        acc("in_b", dh.sum(axis=0))
-        dstate = (dh @ self._p("in_w"))[:, : self.state_dim]
-        return g, dstate, dcode
+            w1 = self._p(f"b{k}_w1")
+            grad(f"b{k}_b2")[...] = dh.sum(axis=0)
+            grad(f"b{k}_w2")[...] = dh.T @ acts[k]
+            dpre = dh @ self._p(f"b{k}_w2")
+            dpre *= _silu_slope(sigs[k], acts[k])
+            dpre_sum = dpre.sum(axis=0)
+            grad(f"b{k}_b1")[...] = dpre_sum
+            gw1 = grad(f"b{k}_w1")
+            gw1[:, :w] = dpre.T @ hs[k]
+            gw1[:, w:] = np.outer(dpre_sum, code)
+            dh += dpre @ w1[:, :w]
+            dcode += dpre_sum @ w1[:, w:]
+        gin = grad("in_w")
+        gin[:, :sd] = dh.T @ state
+        gin[:, sd:] = np.outer(dh.sum(axis=0), temb)
+        grad("in_b")[...] = dh.sum(axis=0)
+        return g, dh @ self._p("in_w")[:, :sd], dcode
+
+    def _input_vjp_rows(self, cache, upstream):
+        """d/d state rows of an (R, state_dim) upstream; no parameter gradient."""
+        _, _, _, _, sigs, acts = cache
+        w = self.width
+        dh = upstream @ self._p("out_w")
+        for k in reversed(range(self.n_blocks)):
+            dpre = dh @ self._p(f"b{k}_w2")
+            dpre *= _silu_slope(sigs[k], acts[k])
+            dh += dpre @ self._p(f"b{k}_w1")[:, :w]
+        return dh @ self._p("in_w")[:, : self.state_dim]
 
     @abc.abstractmethod
     def _field_forward(self, xt, z, t):
@@ -273,9 +315,15 @@ class _ResidualMlp(ScoreField):
     def evaluate(self, xt, z, t):
         return self._field_forward(xt, z, t)[0]
 
-    def input_vjp(self, xt, z, t, upstream):
-        _, cache = self._field_forward(xt, z, t)
-        return self.backward(cache, np.asarray(upstream, dtype=np.float64))[1]
+    def evaluate_cached(self, xt, z, t):
+        return self._field_forward(xt, z, t)
+
+    def input_vjp(self, xt, z, t, upstream, cache=None):
+        if cache is None:
+            cache = self._field_forward(xt, z, t)[1]
+        upstream = np.asarray(upstream, dtype=np.float64)
+        rows = self._input_vjp_rows(cache, np.atleast_2d(upstream))
+        return rows.reshape(upstream.shape)
 
 
 class MlpScoreNet(_ResidualMlp):
@@ -355,23 +403,23 @@ class PointEncoder:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"points must be (N, 3), got {pts.shape}")
-        a1 = pts @ self._p("w1").T + self._p("b1")
-        h1 = silu(a1)
-        a2 = h1 @ self._p("w2").T + self._p("b2")
-        h2 = silu(a2)
-        a3 = h2 @ self._p("w3").T + self._p("b3")
-        h3 = silu(a3)
+        h1 = pts @ self._p("w1").T + self._p("b1")
+        s1 = _silu_inplace(h1)
+        h2 = h1 @ self._p("w2").T + self._p("b2")
+        s2 = _silu_inplace(h2)
+        h3 = h2 @ self._p("w3").T + self._p("b3")
+        s3 = _silu_inplace(h3)
         argmax = np.argmax(h3, axis=0)
         pooled = h3[argmax, np.arange(h3.shape[1])]
         mean = pooled @ self._p("mean_w").T + self._p("mean_b")
         raw = pooled @ self._p("logvar_w").T + self._p("logvar_b")
         logvar = np.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
-        cache = (pts, a1, h1, a2, h2, a3, h3, argmax, pooled, raw)
+        cache = (pts, s1, h1, s2, h2, s3, h3, argmax, pooled, raw)
         return mean, logvar, cache
 
     def backward(self, cache, dmean, dlogvar):
         """Backprop upstream gradients of (mean, logvar) to the parameters."""
-        pts, a1, h1, a2, h2, a3, h3, argmax, pooled, raw = cache
+        pts, s1, h1, s2, h2, s3, h3, argmax, pooled, raw = cache
         g = np.zeros(self.layout.size)
 
         def acc(name, value):
@@ -385,13 +433,13 @@ class PointEncoder:
         dpooled = dmean @ self._p("mean_w") + dlogvar @ self._p("logvar_w")
         dh3 = np.zeros_like(h3)
         dh3[argmax, np.arange(h3.shape[1])] = dpooled
-        da3 = dh3 * silu_grad(a3)
+        da3 = dh3 * _silu_slope(s3, h3)
         acc("w3", da3.T @ h2)
         acc("b3", da3.sum(axis=0))
-        da2 = (da3 @ self._p("w3")) * silu_grad(a2)
+        da2 = (da3 @ self._p("w3")) * _silu_slope(s2, h2)
         acc("w2", da2.T @ h1)
         acc("b2", da2.sum(axis=0))
-        da1 = (da2 @ self._p("w2")) * silu_grad(a1)
+        da1 = (da2 @ self._p("w2")) * _silu_slope(s1, h1)
         acc("w1", da1.T @ pts)
         acc("b1", da1.sum(axis=0))
         return g

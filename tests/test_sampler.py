@@ -12,6 +12,7 @@ from smoothdiff import (
     GaussianMixtureScore,
     InvalidInputError,
     InvalidParameterError,
+    MlpScoreNet,
     NumericalAbortError,
     SamplerConfig,
     ScoreField,
@@ -188,6 +189,42 @@ def test_frozen_equals_exact_for_state_independent_field(rng):
         eps=1e-6,
     )
     assert np.max(np.abs(frozen - fd)) < 1e-6
+
+
+def test_exact_generate_runs_four_argument_field():
+    # a user field whose input_vjp takes no cache still runs exact guidance;
+    # its input Jacobian is zero, so exact equals frozen bit for bit
+    field = ConstField(np.array([0.2, -0.3, 0.15]))
+    clouds = {
+        mode: generate(field, SCHEDULE,
+                       SamplerConfig(n_steps=8, alpha=0.05, knn_k=3, seed=4, constraint_mode=mode),
+                       n_clouds=2, n_points=10)[0]
+        for mode in ("exact_chain", "frozen_score")
+    }
+    for a, b in zip(clouds["exact_chain"], clouds["frozen_score"]):
+        assert np.array_equal(a.points, b.points)
+
+
+def test_exact_chain_reuses_the_step_forward(monkeypatch, tiny_bundle):
+    # one decoder forward per step: guided steps hand the chain's forward
+    # cache to input_vjp instead of running the net again
+    counts = {"forward": 0, "input_vjp": 0}
+    for name in counts:
+        original = getattr(MlpScoreNet, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(MlpScoreNet, name, counted)
+    config = SamplerConfig(n_steps=10, alpha=1e-3, knn_k=4, constraint_mode="exact_chain",
+                           t_constraint=0.5, seed=2)
+    z = np.random.default_rng(0).standard_normal((1, 6))
+    generate(tiny_bundle.decoder, SCHEDULE, config, n_clouds=1, n_points=12, latents=z)
+    dt = (1.0 - config.t_floor) / config.n_steps
+    guided = sum(1.0 - k * dt <= config.t_constraint for k in range(config.n_steps))
+    assert 0 < guided < config.n_steps
+    assert counts == {"forward": config.n_steps, "input_vjp": guided}
 
 
 def test_frozen_two_point_hand_case():

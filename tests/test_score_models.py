@@ -93,6 +93,19 @@ def test_gmm_input_vjp_matches_directional_fd(gmm, rng):
     assert np.max(np.abs(got - fd)) < 1e-6
 
 
+def test_gmm_cached_vjp_reuses_responsibilities(gmm, rng):
+    x = rng.standard_normal((4, 3))
+    v = rng.standard_normal((4, 3))
+    t = 0.5
+    score, cache = gmm.evaluate_cached(x, None, t)
+    assert np.array_equal(score, gmm.evaluate(x, None, t))
+    cached = gmm.input_vjp(x, None, t, v, cache=cache)
+    assert np.array_equal(cached, gmm.input_vjp(x, None, t, v))
+    eps = 1e-6
+    fd = (gmm.evaluate(x + eps * v, None, t) - gmm.evaluate(x - eps * v, None, t)) / (2 * eps)
+    assert np.max(np.abs(cached - fd)) < 1e-6
+
+
 def test_gmm_1d_input(gmm):
     x = np.array([0.1, 0.2, 0.3])
     t = 0.7
@@ -171,6 +184,28 @@ def test_decoder_input_gradients_match_fd(tiny_bundle, rng):
     assert np.max(np.abs(dz - fd_z)) < 1e-7
     # input_vjp is the same quantity as backward's dx
     assert np.allclose(net.input_vjp(xt, z, t, v), dx, rtol=1e-12)
+
+
+def test_cached_input_vjp_is_backward_input_gradient(tiny_bundle, rng):
+    # the input-only VJP from the forward cache equals the uncached VJP
+    # exactly, and backward's state gradient to rounding
+    t = 0.45
+    dec = tiny_bundle.decoder
+    xt, z, v = rng.standard_normal((5, 3)), rng.standard_normal(6), rng.standard_normal((5, 3))
+    score, cache = dec.evaluate_cached(xt, z, t)
+    assert np.array_equal(score, dec.evaluate(xt, z, t))
+    cached = dec.input_vjp(xt, z, t, v, cache=cache)
+    assert np.array_equal(cached, dec.input_vjp(xt, z, t, v))
+    assert np.allclose(cached, dec.backward(cache, v)[1], rtol=1e-12, atol=0)
+
+    lat = tiny_bundle.latent
+    zt, u = rng.standard_normal(6), rng.standard_normal(6)
+    score, cache = lat.evaluate_cached(zt, None, t)
+    assert score.shape == (6,)
+    cached = lat.input_vjp(zt, None, t, u, cache=cache)
+    assert cached.shape == (6,)
+    assert np.array_equal(cached, lat.input_vjp(zt, None, t, u))
+    assert np.allclose(cached, lat.backward(cache, u)[1], rtol=1e-12, atol=0)
 
 
 def test_decoder_permutation_equivariance(tiny_bundle, rng):
