@@ -27,7 +27,7 @@ import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, dump_run_config, load_run_config, stage_config
+from .config import STAGE_PREFIXES, RunConfig, dump_run_config, load_run_config, stage_config
 from .errors import (
     ConfigError,
     DataError,
@@ -115,6 +115,21 @@ def cmd_synth(args, cfg):
     return 0
 
 
+def _check_resume_config(cfg, header):
+    """Raise ConfigError naming each model or schedule key the checkpoint differs in."""
+    conflicts = []
+    for cls in (ModelConfig, DiffusionSchedule):
+        wanted = stage_config(cls, cfg)
+        for f in dataclasses.fields(cls):
+            value = getattr(wanted, f.name)
+            if value != header[f.name]:
+                conflicts.append(f"{STAGE_PREFIXES[cls]}{f.name} = {value!r} "
+                                 f"(checkpoint: {header[f.name]!r})")
+    if conflicts:
+        raise ConfigError("resume config conflicts with the checkpoint: "
+                          + "; ".join(conflicts))
+
+
 def cmd_train(args, cfg):
     if not cfg.data_dir:
         raise ConfigError("no dataset: pass --data or set data_dir in the config")
@@ -126,6 +141,7 @@ def cmd_train(args, cfg):
     train_cfg = stage_config(TrainConfig, cfg, seed=cfg.seed)
     if args.resume:
         bundle, schedule, header = load_checkpoint(args.resume)
+        _check_resume_config(cfg, header)
         start_epoch = header["trained_epochs"]
         if start_epoch >= epochs:
             raise ConfigError(

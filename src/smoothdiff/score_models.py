@@ -9,10 +9,13 @@ rows of (state, time embedding): the decoder runs one row per point with the
 latent code joining every block, the latent prior runs its code as a single
 row with no conditioning. The time embedding and the code are the same in
 every row, so their products with the input and block weights are formed
-once per call as width-long vectors. A forward pass returns its cache,
-(state, time embedding, code, block inputs h, sigmoids, SiLU outputs):
-backward reads the parameter gradients from it, and input_vjp reuses the
-one the sampler kept from its score evaluation. All parameters live in flat
+once per call as width-long vectors. SiLU takes its sigmoid as
+0.5 + 0.5 tanh(x / 2). A forward pass returns its cache, (state, time
+embedding, code, block inputs h, sigmoids, SiLU outputs): backward reads
+the parameter gradients from it, and input_vjp reuses the one the sampler
+kept from its score evaluation. evaluate needs only the score, so it runs
+forward with keep=False: no cache, two row buffers reused across the
+blocks, and the same outputs bit for bit. All parameters live in flat
 float64 vectors and every network implements explicit reverse-mode
 backprop, so gradients are checkable against finite differences without a
 framework dependency.
@@ -22,7 +25,6 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedModeError
 
@@ -30,9 +32,15 @@ LOGVAR_MIN = -20.0
 LOGVAR_MAX = 4.0
 
 
-def _silu_inplace(x):
-    """Overwrite x with SiLU x * sigmoid(x); return sigmoid(x) for backward."""
-    sig = expit(x)
+def _silu_inplace(x, out=None):
+    """Overwrite x with SiLU x * sigmoid(x); return sigmoid(x) for backward.
+
+    The sigmoid is 0.5 + 0.5 tanh(x / 2), written into out when one is given.
+    """
+    sig = np.multiply(x, 0.5, out=out)
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
     x *= sig
     return sig
 
@@ -240,27 +248,36 @@ class _ResidualMlp(ScoreField):
     def _p(self, name):
         return self.layout.view(self.params, name)
 
-    def _forward_rows(self, state, code, t):
-        """Scores for state rows (R, state_dim) under code (cond_dim,)."""
+    def _forward_rows(self, state, code, t, keep=True):
+        """(scores, cache) for state rows (R, state_dim) under code (cond_dim,).
+
+        With keep=False the cache is None: the blocks reuse one act and one
+        sig buffer and update h in place, in the same order of operations.
+        """
         sd, w = self.state_dim, self.width
         temb = time_embedding(t, self.temb_dim)
         in_w = self._p("in_w")
         h = state @ in_w[:, :sd].T
         h += in_w[:, sd:] @ temb + self._p("in_b")
         hs, sigs, acts = [h], [], []
+        act = sig = None
         for k in range(self.n_blocks):
-            w1 = self._p(f"b{k}_w1")
-            act = h @ w1[:, :w].T
+            w1, w2 = self._p(f"b{k}_w1"), self._p(f"b{k}_w2")
+            act = np.matmul(h, w1[:, :w].T, out=None if keep else act)
             act += w1[:, w:] @ code + self._p(f"b{k}_b1")
-            sigs.append(_silu_inplace(act))
-            acts.append(act)
-            h = act @ self._p(f"b{k}_w2").T
-            h += hs[-1]
+            sig = _silu_inplace(act, out=None if keep else sig)
+            if keep:
+                sigs.append(sig)
+                acts.append(act)
+                h = act @ w2.T
+                h += hs[-1]
+                hs.append(h)
+            else:
+                h += np.matmul(act, w2.T, out=sig)
             h += self._p(f"b{k}_b2")
-            hs.append(h)
         out = h @ self._p("out_w").T
         out += self._p("out_b")
-        return out, (state, temb, code, hs, sigs, acts)
+        return out, ((state, temb, code, hs, sigs, acts) if keep else None)
 
     def _backward_rows(self, cache, upstream):
         """Backprop an (R, state_dim) upstream gradient.
@@ -309,11 +326,11 @@ class _ResidualMlp(ScoreField):
         return dh @ self._p("in_w")[:, : self.state_dim]
 
     @abc.abstractmethod
-    def _field_forward(self, xt, z, t):
+    def _field_forward(self, xt, z, t, keep=True):
         """forward() reached through the ScoreField arguments (xt, z, t)."""
 
     def evaluate(self, xt, z, t):
-        return self._field_forward(xt, z, t)[0]
+        return self._field_forward(xt, z, t, keep=False)[0]
 
     def evaluate_cached(self, xt, z, t):
         return self._field_forward(xt, z, t)
@@ -340,7 +357,7 @@ class MlpScoreNet(_ResidualMlp):
         super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
                          state_dim=3, cond_dim=latent_dim)
 
-    def forward(self, xt, z, t):
+    def forward(self, xt, z, t, keep=True):
         xt = np.asarray(xt, dtype=np.float64)
         if xt.ndim != 2 or xt.shape[1] != 3:
             raise InvalidInputError(f"xt must be (N, 3), got {xt.shape}")
@@ -351,7 +368,7 @@ class MlpScoreNet(_ResidualMlp):
             raise InvalidInputError(
                 f"latent code must have dimension {self.latent_dim}, got {z.shape}"
             )
-        return self._forward_rows(xt, z, t)
+        return self._forward_rows(xt, z, t, keep)
 
     def backward(self, cache, upstream):
         """Backprop an (N, 3) upstream gradient.
@@ -360,8 +377,8 @@ class MlpScoreNet(_ResidualMlp):
         """
         return self._backward_rows(cache, upstream)
 
-    def _field_forward(self, xt, z, t):
-        return self.forward(xt, z, t)
+    def _field_forward(self, xt, z, t, keep=True):
+        return self.forward(xt, z, t, keep=keep)
 
 
 class PointEncoder:
@@ -461,13 +478,13 @@ class LatentScoreNet(_ResidualMlp):
         super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
                          state_dim=latent_dim, cond_dim=0)
 
-    def forward(self, zt, t):
+    def forward(self, zt, t, keep=True):
         zt = np.asarray(zt, dtype=np.float64)
         if zt.shape != (self.latent_dim,):
             raise InvalidInputError(
                 f"latent state must have dimension {self.latent_dim}, got {zt.shape}"
             )
-        out, cache = self._forward_rows(zt[None, :], np.zeros(0), t)
+        out, cache = self._forward_rows(zt[None, :], np.zeros(0), t, keep)
         return out[0], cache
 
     def backward(self, cache, upstream):
@@ -476,10 +493,10 @@ class LatentScoreNet(_ResidualMlp):
         g, dzt, _ = self._backward_rows(cache, upstream[None, :])
         return g, dzt[0]
 
-    def _field_forward(self, xt, z, t):
+    def _field_forward(self, xt, z, t, keep=True):
         if z is not None:
             raise InvalidInputError("latent score net takes no conditioning code")
-        return self.forward(xt, t)
+        return self.forward(xt, t, keep=keep)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ import filecmp
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smoothdiff
 import smoothdiff.cli as cli
 from smoothdiff import (
     RunConfig,
@@ -144,6 +147,25 @@ def test_train_resume_continues_loss_csv(pipeline, tmp_path):
     assert main(["train", "--config", pipeline["cfg"], "--data", pipeline["synth"],
                  "--out", str(out), "--resume", str(out / "model.ckpt"),
                  "--epochs", "5"]) == 2
+
+
+def test_train_resume_rejects_a_different_architecture(pipeline, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["train", "--config", pipeline["cfg"], "--data", pipeline["synth"],
+                 "--out", str(out)]) == 0
+    kept = {name: (out / name).read_bytes() for name in ("model.ckpt", "loss.csv")}
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CFG.replace("model_latent_dim = 8", "model_latent_dim = 32")
+                     + "beta_max = 5.0\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(other), "--data", pipeline["synth"],
+                 "--out", str(out), "--resume", str(out / "model.ckpt"),
+                 "--epochs", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "model_latent_dim = 32 (checkpoint: 8)" in err
+    assert "beta_max = 5.0 (checkpoint: 20.0)" in err
+    assert "model_decoder_width" not in err
+    assert {name: (out / name).read_bytes() for name in kept} == kept
 
 
 def test_train_requires_data():
@@ -394,3 +416,14 @@ def test_bad_config_file_exits_two(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 1\n")
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # the package takes no special functions from scipy; keep it off the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, smoothdiff.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

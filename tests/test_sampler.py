@@ -206,25 +206,31 @@ def test_exact_generate_runs_four_argument_field():
 
 
 def test_exact_chain_reuses_the_step_forward(monkeypatch, tiny_bundle):
-    # one decoder forward per step: guided steps hand the chain's forward
-    # cache to input_vjp instead of running the net again
-    counts = {"forward": 0, "input_vjp": 0}
-    for name in counts:
+    # one decoder forward per step in every mode: guided exact steps keep the
+    # forward cache and hand it to input_vjp, every other step keeps none
+    calls = {"forward": [], "input_vjp": []}
+    for name in calls:
         original = getattr(MlpScoreNet, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
+            calls[_name].append(kwargs.get("keep", True))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(MlpScoreNet, name, counted)
-    config = SamplerConfig(n_steps=10, alpha=1e-3, knn_k=4, constraint_mode="exact_chain",
-                           t_constraint=0.5, seed=2)
     z = np.random.default_rng(0).standard_normal((1, 6))
-    generate(tiny_bundle.decoder, SCHEDULE, config, n_clouds=1, n_points=12, latents=z)
-    dt = (1.0 - config.t_floor) / config.n_steps
-    guided = sum(1.0 - k * dt <= config.t_constraint for k in range(config.n_steps))
-    assert 0 < guided < config.n_steps
-    assert counts == {"forward": config.n_steps, "input_vjp": guided}
+    for mode in ("off", "frozen_score", "exact_chain"):
+        for made in calls.values():
+            made.clear()
+        config = SamplerConfig(n_steps=10, alpha=1e-3, knn_k=4, constraint_mode=mode,
+                               t_constraint=0.5, seed=2)
+        generate(tiny_bundle.decoder, SCHEDULE, config, n_clouds=1, n_points=12, latents=z)
+        dt = (1.0 - config.t_floor) / config.n_steps
+        guided = sum(1.0 - k * dt <= config.t_constraint for k in range(config.n_steps))
+        assert 0 < guided < config.n_steps
+        cached = guided if mode == "exact_chain" else 0
+        assert len(calls["forward"]) == config.n_steps, mode
+        assert sum(calls["forward"]) == cached, mode
+        assert len(calls["input_vjp"]) == cached, mode
 
 
 def test_frozen_two_point_hand_case():

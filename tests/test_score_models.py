@@ -7,7 +7,7 @@ which would make the checks vacuous).
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from smoothdiff import (
     GaussianMixtureScore,
@@ -23,6 +23,7 @@ from smoothdiff import (
     reparameterize,
     time_embedding,
 )
+from smoothdiff.score_models import _silu_inplace
 
 from conftest import numeric_grad
 
@@ -223,6 +224,53 @@ def test_decoder_evaluate_is_forward_output(tiny_bundle, rng):
     xt = rng.standard_normal((4, 3))
     z = rng.standard_normal(6)
     assert np.array_equal(net.evaluate(xt, z, 0.5), net.forward(xt, z, 0.5)[0])
+
+
+@pytest.fixture(scope="module")
+def desk_nets():
+    # desk-sized nets with every parameter random (a fresh output layer is
+    # zero, which would make the comparisons vacuous)
+    gen = np.random.default_rng(77)
+    nets = (MlpScoreNet(64, rng=gen), LatentScoreNet(64, rng=gen))
+    for net in nets:
+        net.params[:] = 0.05 * gen.standard_normal(net.n_params)
+    return nets
+
+
+@pytest.mark.parametrize("t", [0.05, 0.4, 0.95])
+@pytest.mark.parametrize("n", [1, 256, 2048])
+def test_evaluate_runs_the_cache_free_forward(desk_nets, n, t):
+    # evaluate's cache-free pass reuses its row buffers and updates h in
+    # place, in the same order of operations as the cached pass
+    dec, lat = desk_nets
+    gen = np.random.default_rng(n)
+    xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
+    out, cache = dec.forward(xt, z, t)
+    assert cache is not None
+    assert np.array_equal(dec.evaluate(xt, z, t), out)
+    free, none = dec.forward(xt, z, t, keep=False)
+    assert none is None and np.array_equal(free, out)
+    out, _ = lat.forward(zt, t)
+    assert np.array_equal(lat.evaluate(zt, None, t), out)
+    free, none = lat.forward(zt, t, keep=False)
+    assert none is None and np.array_equal(free, out)
+
+
+def test_silu_sigmoid_matches_expit():
+    # 0.5 + 0.5 tanh(x / 2) against scipy's expit, out to both saturations
+    x = np.concatenate([np.linspace(-800.0, 800.0, 100001), [-np.inf, np.inf]])
+    act = x.copy()
+    with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) = -inf * 0
+        sig = _silu_inplace(act)
+    assert np.max(np.abs(sig - expit(x))) <= 2.3e-16
+    assert sig[-2] == 0.0 and sig[-1] == 1.0
+    finite = np.isfinite(x)
+    assert np.array_equal(act[finite], x[finite] * sig[finite])
+    buf = np.empty_like(x)
+    act = x.copy()
+    with np.errstate(invalid="ignore"):
+        assert _silu_inplace(act, out=buf) is buf
+    assert np.array_equal(buf, sig)
 
 
 # --------------------------------------------------------------- encoder
