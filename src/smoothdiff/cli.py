@@ -278,6 +278,9 @@ def cmd_sweep_k(args, cfg):
 
     ref_mean = _mean_smoothness(reference, eval_k)
     baseline = run(alpha=0.0, knn_k=eval_k, constraint_mode="off")
+    # Every chain runs before the file is opened, so an abort leaves any
+    # earlier sweep.csv as it was.
+    means = [run(alpha=alpha, knn_k=k, constraint_mode=args.mode) for k in k_values]
 
     if args.out:
         out_path = args.out
@@ -289,8 +292,7 @@ def cmd_sweep_k(args, cfg):
         os.makedirs(parent, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         fh.write("k,mean_smoothness,rs,baseline_smoothness\n")
-        for k in k_values:
-            mean_s = run(alpha=alpha, knn_k=k, constraint_mode=args.mode)
+        for k, mean_s in zip(k_values, means):
             rs_value = abs(mean_s - ref_mean)
             fh.write(f"{k},{mean_s!r},{rs_value!r},{baseline!r}\n")
             print(f"k={k}: mean_smoothness={mean_s:.6f} rs={rs_value:.6f} "

@@ -5,12 +5,17 @@ Laplacian measures how far each point sits from its neighbors; it is the
 quantity the constrained sampler pushes down. The Laplacian is combinatorial
 (L = D - W, binary weights) on the symmetrized (union-rule) KNN graph, which
 keeps L symmetric positive semidefinite and makes the gradient exactly 2LX.
+
+With binary weights L is fixed by its undirected edge list, so L X and S are
+sums over the edges: S = sum of |x_i - x_j|^2, and row i of L X sums
+x_i - x_j over the edges at i. Both are computed from the edges in NumPy;
+the SciPy CSR form of L is built only when `LaplacianMatrix.matrix` is read,
+and that is the one place scipy.sparse is imported.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError
@@ -72,12 +77,84 @@ class KnnGraph:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LaplacianMatrix:
-    """Sparse combinatorial Laplacian L = D - W of a symmetrized KNN graph."""
+    """Combinatorial Laplacian L = D - W of a graph with binary weights.
+
+    Held as its undirected edge list: edges is (E, 2) with i < j per row,
+    lexicographically sorted and without repeats. Give either the edges or
+    a SciPy sparse matrix; a matrix is read once (through its tocoo()) and
+    must be symmetric with off-diagonal entries -1 and the degree on the
+    diagonal. `matrix` is the SciPy CSR form, built on first access unless
+    one was given.
+    """
 
     dimension: int
-    matrix: sp.csr_matrix = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+
+    def __init__(self, dimension, matrix=None, *, edges=None):
+        n = int(dimension)
+        if (matrix is None) == (edges is None):
+            raise InvalidInputError("LaplacianMatrix takes exactly one of matrix and edges")
+        edges = _matrix_edges(matrix, n) if edges is None else _checked_edges(edges, n)
+        edges.flags.writeable = False
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_matrix", matrix)
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            n = self.dimension
+            i = self.edges[:, 0]
+            j = self.edges[:, 1]
+            rows = np.concatenate([i, j])
+            cols = np.concatenate([j, i])
+            w = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+            deg = np.asarray(w.sum(axis=1)).ravel()
+            object.__setattr__(self, "_matrix", (sp.diags(deg) - w).tocsr())
+        return self._matrix
+
+
+def _checked_edges(edges, n):
+    """Edges as given: (E, 2) integers, 0 <= i < j < n, sorted without repeats."""
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    key = edges[:, 0] * n + edges[:, 1]
+    if edges.size and (
+        edges.min() < 0 or edges.max() >= n
+        or np.any(edges[:, 0] >= edges[:, 1]) or np.any(np.diff(key) <= 0)
+    ):
+        raise InvalidInputError(
+            f"edges must be sorted pairs 0 <= i < j < {n} without repeats"
+        )
+    return edges
+
+
+def _matrix_edges(matrix, n):
+    """The edge list of a binary-weight Laplacian given as a SciPy sparse matrix."""
+    coo = matrix.tocoo()
+    if coo.shape != (n, n):
+        raise InvalidInputError(f"Laplacian matrix shape {coo.shape} != ({n}, {n})")
+    # Sum repeated entries and drop zeros, so that only the matrix's values count.
+    key, inverse = np.unique(
+        coo.row.astype(np.int64) * n + coo.col.astype(np.int64), return_inverse=True
+    )
+    value = np.bincount(inverse.ravel(), weights=coo.data, minlength=key.size)
+    key, value = key[value != 0], value[value != 0]
+    row, col = np.divmod(key, n)
+    upper, lower = row < col, row > col
+    if not np.array_equal(key[upper], np.sort(col[lower] * n + row[lower])):
+        raise InvalidInputError("Laplacian matrix is not symmetric")
+    if np.any(value[row != col] != -1.0):
+        raise InvalidInputError("Laplacian off-diagonal entries must be -1")
+    edges = np.stack([row[upper], col[upper]], axis=1)
+    diag = np.zeros(n)
+    diag[row[row == col]] = value[row == col]
+    if not np.array_equal(diag, np.bincount(edges.ravel(), minlength=n)):
+        raise InvalidInputError("Laplacian diagonal must equal the vertex degrees")
+    return edges
 
 
 def build_knn_graph(cloud, k):
@@ -113,15 +190,7 @@ def build_laplacian(graph):
     """Combinatorial Laplacian L = D - W with binary symmetric adjacency."""
     if not isinstance(graph, KnnGraph):
         raise InvalidInputError("build_laplacian expects a KnnGraph")
-    n = graph.n_nodes
-    i = graph.edge_set[:, 0]
-    j = graph.edge_set[:, 1]
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    w = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
-    deg = np.asarray(w.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - w
-    return LaplacianMatrix(dimension=n, matrix=lap.tocsr())
+    return LaplacianMatrix(dimension=graph.n_nodes, edges=graph.edge_set)
 
 
 def _check_dims(pts, laplacian):
@@ -137,16 +206,34 @@ def smoothness(cloud, laplacian):
     Equals the sum of squared edge lengths over the undirected edge set;
     zero exactly when the cloud is constant on each connected component.
     """
-    pts = _as_points(cloud)
-    _check_dims(pts, laplacian)
-    return float(np.sum(pts * (laplacian.matrix @ pts)))
+    d = _edge_differences(cloud, laplacian)
+    return float(np.sum(d * d))
 
 
 def smoothness_gradient(cloud, laplacian):
-    """Gradient of S with respect to the point coordinates: 2 L X."""
+    """Gradient of S with respect to the point coordinates: 2 L X.
+
+    Row i of L X is the sum of x_i - x_j over the neighbors j of i.
+    """
+    d = _edge_differences(cloud, laplacian)
+    i = laplacian.edges[:, 0]
+    j = laplacian.edges[:, 1]
+    n = laplacian.dimension
+    return 2.0 * np.stack(
+        [np.bincount(i, dc, minlength=n) - np.bincount(j, dc, minlength=n) for dc in d],
+        axis=1,
+    )
+
+
+def _edge_differences(cloud, laplacian):
+    """(3, E): the coordinates of x_i - x_j for every edge (i, j)."""
     pts = _as_points(cloud)
     _check_dims(pts, laplacian)
-    return 2.0 * (laplacian.matrix @ pts)
+    # np.take on contiguous rows gathers several times faster than fancy indexing.
+    cols = np.ascontiguousarray(pts.T)
+    return np.take(cols, laplacian.edges[:, 0], axis=1) - np.take(
+        cols, laplacian.edges[:, 1], axis=1
+    )
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,24 @@ class Adam(object):
         self.t = 0
 
     def step(self, params, grad, lr_scale=1.0):
+        # In place, rounding each element as m = b1 m + (1 - b1) g,
+        # v = b2 v + ((1 - b2) g) g, params -= ((lr s) m_hat) / (sqrt(v_hat) + eps).
+        # The two temporaries live only for the step, so that they do not add
+        # to the peak memory of the forward and backward passes.
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        params -= (self.lr * lr_scale) * m_hat / (np.sqrt(v_hat) + self.eps)
+        num = np.multiply(1.0 - self.beta1, grad)
+        self.m *= self.beta1
+        self.m += num
+        self.v *= self.beta2
+        den = np.multiply(1.0 - self.beta2, grad)
+        self.v += np.multiply(den, grad, out=den)
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=num)
+        num *= self.lr * lr_scale
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
 
 
 def lr_factor(epoch, constant_epochs, decay_epochs):

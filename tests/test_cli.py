@@ -342,6 +342,27 @@ def test_sweep_k_csv(pipeline, tmp_path):
         assert float(r[1]) >= 0.0 and float(r[2]) >= 0.0
 
 
+def test_sweep_k_abort_keeps_the_previous_csv(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-k", "--config", pipeline["cfg"], "--checkpoint", pipeline["ckpt"],
+            "--reference", pipeline["synth"], "--out", str(out), "--k-values", "3,5",
+            "--count", "1", "--points", "20", "--steps", "5", "--alpha", "1e-4"]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    real, calls = cli.generate, []
+
+    def abort_on_second_k(*args, **kwargs):
+        calls.append(args[2].knn_k)
+        if len(calls) == 3:  # the baseline chain, k = 3, then k = 5
+            raise smoothdiff.NumericalAbortError("step 0, t=1.0: non-finite state")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate", abort_on_second_k)
+    assert main(argv) == 4
+    assert calls[1:] == [3, 5]
+    assert out.read_bytes() == before
+
+
 def test_sweep_k_validation(pipeline, tmp_path):
     base = ["sweep-k", "--config", pipeline["cfg"], "--checkpoint",
             pipeline["ckpt"], "--reference", pipeline["synth"],
@@ -418,12 +439,42 @@ def test_bad_config_file_exits_two(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # the package takes no special functions from scipy; keep it off the import
+def test_cli_import_leaves_out_scipy_special(tmp_path):
+    # the package takes no special functions and no sparse matrices from
+    # scipy; keep both off the import and off every stage of the chain
     src = os.path.dirname(os.path.dirname(os.path.abspath(smoothdiff.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, smoothdiff.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True)
-    assert result.stdout.strip() == "False"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    c = ["--config", str(cfg)]
+    stages = [
+        ["synth", *c, "--out", "data"],
+        ["train", *c, "--data", "data", "--out", "run", "--epochs", "1"],
+        ["sample", *c, "--checkpoint", "run/model.ckpt", "--out", "gen", "--steps", "6",
+         "--mode", "exact", "--alpha", "1e-4", "--t-constraint", "0.5",
+         "--record-trajectory"],
+        ["eval", *c, "--reference", "data", "--generated", "gen", "--out", "metrics.csv"],
+        ["sweep-k", *c, "--checkpoint", "run/model.ckpt", "--reference", "data",
+         "--out", "sweep.csv", "--k-values", "3", "--count", "1", "--steps", "4",
+         "--alpha", "1e-4"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import smoothdiff.cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules]\n"
+        "report = [('import', 0, loaded())]\n"
+        f"for argv in {stages!r}:\n"
+        "    rc = smoothdiff.cli.main(argv)\n"
+        "    report.append((argv[0], rc, loaded()))\n"
+        "print(json.dumps(report))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                            check=True, capture_output=True, text=True)
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert [name for name, _, _ in report] == ["import", "synth", "train", "sample",
+                                                "eval", "sweep-k"]
+    assert all(rc == 0 and not mods for _, rc, mods in report), report
+    assert (tmp_path / "gen" / "trajectory_0000.csv").exists()
+    assert (tmp_path / "sweep.csv").exists()

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothdiff import (
     InvalidInputError,
     InvalidParameterError,
+    LaplacianMatrix,
     PointCloud,
     ShapeSpec,
     build_knn_graph,
@@ -173,6 +175,71 @@ def test_constant_vector_in_nullspace(rng):
     lap = build_laplacian(build_knn_graph(pts, 3)).matrix
     ones = np.ones(20)
     assert np.max(np.abs(lap @ ones)) == 0.0
+
+
+def _dyadic_grid(n, offset):
+    # spacing 1/16 and a dyadic offset: every sum below is exact in float64
+    side = int(np.ceil(np.sqrt(n)))
+    axis = (np.arange(side) - side // 2) / 16.0
+    gx, gy = np.meshgrid(axis + offset[0], axis + offset[1], indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), np.full(side * side, offset[2])], axis=1)[:n]
+
+
+def test_edge_path_matches_csr_form(rng):
+    clouds = [
+        (scale * rng.standard_normal((n, 3)) + shift, False)
+        for n, scale, shift in [(40, 1.0, 0.0), (256, 0.3, 2.0), (2048, 5.0, -1.5)]
+    ]
+    # on the dyadic grid both summation orders are exact, so they agree exactly
+    clouds.append((_dyadic_grid(256, (0.25, -0.125, 0.375)), True))
+    for pts, exact in clouds:
+        for k in (1, 8, 30):
+            lap = build_laplacian(build_knn_graph(pts, k))
+            lx2 = 2.0 * (lap.matrix @ pts)
+            s_csr = float(np.sum(pts * (lap.matrix @ pts)))
+            grad = smoothness_gradient(pts, lap)
+            s_edges = smoothness(pts, lap)
+            assert np.max(np.abs(grad - lx2)) <= 1e-14 * np.max(np.abs(lx2))
+            assert s_edges == pytest.approx(s_csr, rel=1e-14, abs=0.0)
+            if exact:
+                assert np.array_equal(grad, lx2) and s_edges == s_csr
+
+
+def test_laplacian_from_a_matrix_reads_its_edges(rng):
+    pts = rng.standard_normal((60, 3))
+    graph = build_knn_graph(pts, 7)
+    built = build_laplacian(graph)
+    dense = np.zeros((60, 60))
+    for i, j in graph.edge_set:
+        dense[i, j] = dense[j, i] = -1.0
+    dense -= np.diag(dense.sum(axis=1))
+    assert np.array_equal(built.matrix.toarray(), dense)
+    for given in (built.matrix, built.matrix.tocoo(), built.matrix.tolil()):
+        lap = LaplacianMatrix(dimension=60, matrix=given)
+        assert np.array_equal(lap.edges, graph.edge_set)
+        assert lap.matrix is given
+        assert np.array_equal(smoothness_gradient(pts, lap), smoothness_gradient(pts, built))
+
+
+def test_laplacian_rejects_other_matrices(rng):
+    pts = rng.standard_normal((30, 3))
+    graph = build_knn_graph(pts, 4)
+    lap = build_laplacian(graph).matrix
+    weighted = 2.0 * lap
+    asymmetric = lap.tolil()
+    i, j = graph.edge_set[0]
+    asymmetric[i, j] = 0.0
+    asymmetric[i, i] -= 1.0  # rows still sum to zero
+    off_degree = (lap + 0.5 * scipy.sparse.eye(30)).tocsr()
+    for matrix, why in ((weighted, "-1"), (asymmetric, "symmetric"), (off_degree, "degree")):
+        with pytest.raises(InvalidInputError, match=why):
+            LaplacianMatrix(dimension=30, matrix=matrix)
+    with pytest.raises(InvalidInputError):
+        LaplacianMatrix(dimension=31, matrix=lap)
+    with pytest.raises(InvalidInputError):
+        LaplacianMatrix(dimension=30, edges=graph.edge_set[::-1])
+    with pytest.raises(InvalidInputError):
+        LaplacianMatrix(dimension=30)
 
 
 # ------------------------------------------------------------ smoothness

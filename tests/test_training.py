@@ -175,6 +175,26 @@ def test_adam_lr_scale_and_zero_lr():
     assert np.array_equal(p2, np.ones(2))
 
 
+def test_adam_in_place_step_equals_the_formula():
+    # the in-place update rounds each element as the textbook expressions do
+    gen = np.random.default_rng(7)
+    n = 10_000
+    opt = Adam(n_params=n, lr=3e-3, beta1=0.8, beta2=0.99)
+    params = gen.standard_normal(n)
+    ref_p, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
+    for t, scale in enumerate((1.0, 0.7, 0.25, 1.0, 0.05), start=1):
+        grad = gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 2, n)
+        opt.step(params, grad, lr_scale=scale)
+        ref_m = opt.beta1 * ref_m + (1.0 - opt.beta1) * grad
+        ref_v = opt.beta2 * ref_v + (1.0 - opt.beta2) * grad * grad
+        m_hat = ref_m / (1.0 - opt.beta1 ** t)
+        v_hat = ref_v / (1.0 - opt.beta2 ** t)
+        ref_p -= (opt.lr * scale) * m_hat / (np.sqrt(v_hat) + opt.eps)
+        assert np.array_equal(opt.m, ref_m)
+        assert np.array_equal(opt.v, ref_v)
+        assert np.array_equal(params, ref_p)
+
+
 def test_lr_factor_schedule():
     assert lr_factor(0, 1000, 1000) == 1.0
     assert lr_factor(999, 1000, 1000) == 1.0
