@@ -179,9 +179,12 @@ def build_knn_graph(cloud, k):
 
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = neighbors.reshape(-1)
-    # lo * n + hi sorts like the pair (lo, hi), so one 1-D unique yields the
-    # lexicographically sorted edge set.
-    key = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    # lo * n + hi sorts like the pair (lo, hi), so the sorted 1-D keys without
+    # repeats are the lexicographically sorted edge set. A sort and a
+    # neighbour comparison do what np.unique does, without its hash path.
+    key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     edges = np.stack(np.divmod(key, n), axis=1)
     return KnnGraph(k=k, n_nodes=n, neighbor_lists=neighbors, edge_set=edges)
 

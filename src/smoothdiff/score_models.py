@@ -15,10 +15,16 @@ embedding, code, block inputs h, sigmoids, SiLU outputs): backward reads
 the parameter gradients from it, and input_vjp reuses the one the sampler
 kept from its score evaluation. evaluate needs only the score, so it runs
 forward with keep=False: no cache, two row buffers reused across the
-blocks, and the same outputs bit for bit. All parameters live in flat
-float64 vectors and every network implements explicit reverse-mode
+blocks, and the same outputs bit for bit. The encoder's max pool reads one
+row per feature, so its cache is (pts, s1, h1, s2, h2, s3, h3) at the
+pooled rows only, at most min(N, feature_width) of them, with each
+feature's index into those rows, the pooled feature and the unclipped
+log-variance; its backward pass runs on those rows. All parameters live in
+flat float64 vectors and every network implements explicit reverse-mode
 backprop, so gradients are checkable against finite differences without a
-framework dependency.
+framework dependency. Each backward pass adds its parameter gradient into
+a caller's flat buffer when given one as out (training sums a batch that
+way), and into a fresh zero vector otherwise.
 """
 
 import abc
@@ -279,39 +285,46 @@ class _ResidualMlp(ScoreField):
         out += self._p("out_b")
         return out, ((state, temb, code, hs, sigs, acts) if keep else None)
 
-    def _backward_rows(self, cache, upstream):
+    def _backward_rows(self, cache, upstream, out=None):
         """Backprop an (R, state_dim) upstream gradient.
 
-        Returns (flat parameter gradient, d/d state rows, d/d code).
+        Returns (flat parameter gradient, d/d state rows, d/d code). The
+        parameter gradient is added into out, a flat vector of n_params,
+        when one is given, and into a fresh zero vector otherwise.
         """
         state, temb, code, hs, sigs, acts = cache
         sd, w = self.state_dim, self.width
-        g = np.zeros(self.layout.size)
+        g = np.zeros(self.layout.size) if out is None else out
 
         def grad(name):
             return self.layout.view(g, name)
 
-        grad("out_w")[...] = upstream.T @ hs[-1]
-        grad("out_b")[...] = upstream.sum(axis=0)
+        def add(name, value):
+            slot = grad(name)
+            slot += value
+
+        add("out_w", upstream.T @ hs[-1])
+        add("out_b", upstream.sum(axis=0))
         dh = upstream @ self._p("out_w")
         dcode = np.zeros(self.cond_dim)
         for k in reversed(range(self.n_blocks)):
             w1 = self._p(f"b{k}_w1")
-            grad(f"b{k}_b2")[...] = dh.sum(axis=0)
-            grad(f"b{k}_w2")[...] = dh.T @ acts[k]
+            add(f"b{k}_b2", dh.sum(axis=0))
+            add(f"b{k}_w2", dh.T @ acts[k])
             dpre = dh @ self._p(f"b{k}_w2")
             dpre *= _silu_slope(sigs[k], acts[k])
             dpre_sum = dpre.sum(axis=0)
-            grad(f"b{k}_b1")[...] = dpre_sum
+            add(f"b{k}_b1", dpre_sum)
             gw1 = grad(f"b{k}_w1")
-            gw1[:, :w] = dpre.T @ hs[k]
-            gw1[:, w:] = np.outer(dpre_sum, code)
+            gw1[:, :w] += dpre.T @ hs[k]
+            gw1[:, w:] += np.outer(dpre_sum, code)
             dh += dpre @ w1[:, :w]
             dcode += dpre_sum @ w1[:, w:]
+        dh_sum = dh.sum(axis=0)
         gin = grad("in_w")
-        gin[:, :sd] = dh.T @ state
-        gin[:, sd:] = np.outer(dh.sum(axis=0), temb)
-        grad("in_b")[...] = dh.sum(axis=0)
+        gin[:, :sd] += dh.T @ state
+        gin[:, sd:] += np.outer(dh_sum, temb)
+        add("in_b", dh_sum)
         return g, dh @ self._p("in_w")[:, :sd], dcode
 
     def _input_vjp_rows(self, cache, upstream):
@@ -370,12 +383,13 @@ class MlpScoreNet(_ResidualMlp):
             )
         return self._forward_rows(xt, z, t, keep)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, out=None):
         """Backprop an (N, 3) upstream gradient.
 
-        Returns (flat parameter gradient, d/d xt, d/d z).
+        Returns (flat parameter gradient, d/d xt, d/d z); the parameter
+        gradient is added into out when one is given.
         """
-        return self._backward_rows(cache, upstream)
+        return self._backward_rows(cache, upstream, out)
 
     def _field_forward(self, xt, z, t, keep=True):
         return self.forward(xt, z, t, keep=keep)
@@ -417,6 +431,13 @@ class PointEncoder:
         return self.layout.view(self.params, name)
 
     def forward(self, points):
+        """(mean, logvar, cache) of q(z | points).
+
+        The max pool reads one row per feature, so the cache keeps only the
+        rows it picked: pts, s1, h1, s2, h2, s3, h3 at those rows (sorted,
+        at most min(N, feature_width) of them), then each feature's index
+        into those rows, the pooled feature and the unclipped log-variance.
+        """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"points must be (N, 3), got {pts.shape}")
@@ -431,34 +452,41 @@ class PointEncoder:
         mean = pooled @ self._p("mean_w").T + self._p("mean_b")
         raw = pooled @ self._p("logvar_w").T + self._p("logvar_b")
         logvar = np.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
-        cache = (pts, s1, h1, s2, h2, s3, h3, argmax, pooled, raw)
-        return mean, logvar, cache
+        rows, inv = np.unique(argmax, return_inverse=True)
+        picked = tuple(a[rows] for a in (pts, s1, h1, s2, h2, s3, h3))
+        return mean, logvar, picked + (inv, pooled, raw)
 
-    def backward(self, cache, dmean, dlogvar):
-        """Backprop upstream gradients of (mean, logvar) to the parameters."""
-        pts, s1, h1, s2, h2, s3, h3, argmax, pooled, raw = cache
-        g = np.zeros(self.layout.size)
+    def backward(self, cache, dmean, dlogvar, out=None):
+        """Backprop upstream gradients of (mean, logvar) to the parameters.
 
-        def acc(name, value):
-            self.layout.view(g, name)[...] = value
+        Runs the three layers on the pooled rows only; every other row's
+        gradient is zero. The flat gradient is added into out when one is
+        given, and into a fresh zero vector otherwise.
+        """
+        pts, s1, h1, s2, h2, s3, h3, inv, pooled, raw = cache
+        g = np.zeros(self.layout.size) if out is None else out
+
+        def add(name, value):
+            slot = self.layout.view(g, name)
+            slot += value
 
         dlogvar = np.where((raw > LOGVAR_MIN) & (raw < LOGVAR_MAX), dlogvar, 0.0)
-        acc("mean_w", np.outer(dmean, pooled))
-        acc("mean_b", dmean)
-        acc("logvar_w", np.outer(dlogvar, pooled))
-        acc("logvar_b", dlogvar)
+        add("mean_w", np.outer(dmean, pooled))
+        add("mean_b", dmean)
+        add("logvar_w", np.outer(dlogvar, pooled))
+        add("logvar_b", dlogvar)
         dpooled = dmean @ self._p("mean_w") + dlogvar @ self._p("logvar_w")
         dh3 = np.zeros_like(h3)
-        dh3[argmax, np.arange(h3.shape[1])] = dpooled
+        dh3[inv, np.arange(h3.shape[1])] = dpooled
         da3 = dh3 * _silu_slope(s3, h3)
-        acc("w3", da3.T @ h2)
-        acc("b3", da3.sum(axis=0))
+        add("w3", da3.T @ h2)
+        add("b3", da3.sum(axis=0))
         da2 = (da3 @ self._p("w3")) * _silu_slope(s2, h2)
-        acc("w2", da2.T @ h1)
-        acc("b2", da2.sum(axis=0))
+        add("w2", da2.T @ h1)
+        add("b2", da2.sum(axis=0))
         da1 = (da2 @ self._p("w2")) * _silu_slope(s1, h1)
-        acc("w1", da1.T @ pts)
-        acc("b1", da1.sum(axis=0))
+        add("w1", da1.T @ pts)
+        add("b1", da1.sum(axis=0))
         return g
 
 
@@ -487,10 +515,13 @@ class LatentScoreNet(_ResidualMlp):
         out, cache = self._forward_rows(zt[None, :], np.zeros(0), t, keep)
         return out[0], cache
 
-    def backward(self, cache, upstream):
-        """Backprop a (d,) upstream gradient; returns (flat grads, d/d zt)."""
+    def backward(self, cache, upstream, out=None):
+        """Backprop a (d,) upstream gradient; returns (flat grads, d/d zt).
+
+        The flat gradient is added into out when one is given.
+        """
         upstream = np.asarray(upstream, dtype=np.float64)
-        g, dzt, _ = self._backward_rows(cache, upstream[None, :])
+        g, dzt, _ = self._backward_rows(cache, upstream[None, :], out)
         return g, dzt[0]
 
     def _field_forward(self, xt, z, t, keep=True):

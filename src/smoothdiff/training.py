@@ -151,10 +151,16 @@ def entropy_term(mean, logvar):
     return 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 
 
-def _cloud_losses(bundle, points, schedule, config, rng):
-    """Forward and backward for one cloud. Returns losses and flat grads."""
+def _cloud_losses(bundle, points, schedule, config, rng, grads):
+    """Forward and backward for one cloud; returns (recon, latent, entropy).
+
+    grads is the (encoder, decoder, latent) triple of flat gradient buffers;
+    each backward pass adds this cloud's parameter gradient into its buffer,
+    so a batch sums its clouds' gradients with no per-cloud copy.
+    """
     n = points.shape[0]
     d = bundle.latent_dim
+    acc_enc, acc_dec, acc_lat = grads
 
     t = rng.uniform(config.t_floor, 1.0)
     eps_z = rng.standard_normal(d)
@@ -171,15 +177,15 @@ def _cloud_losses(bundle, points, schedule, config, rng):
     )
     ent = entropy_term(mean, logvar)
 
-    g_dec, _, dz_dec = bundle.decoder.backward(dec_cache, ds_x)
-    g_lat, dzt = bundle.latent.backward(lat_cache, ds_z)
+    _, _, dz_dec = bundle.decoder.backward(dec_cache, ds_x, out=acc_dec)
+    _, dzt = bundle.latent.backward(lat_cache, ds_z, out=acc_lat)
     dz0 = dz_dec + schedule.drift_coef(t) * dzt
     dmean = dz0
     # d(total)/dlogvar: reparameterization path plus -1/2 from the entropy.
     dlogvar = dz0 * eps_z * 0.5 * np.exp(0.5 * logvar) - 0.5
-    g_enc = bundle.encoder.backward(enc_cache, dmean, dlogvar)
+    bundle.encoder.backward(enc_cache, dmean, dlogvar, out=acc_enc)
 
-    return loss_x, loss_z, ent, g_enc, g_dec, g_lat
+    return loss_x, loss_z, ent
 
 
 def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
@@ -187,35 +193,30 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     """One optimization step over a batch of clouds.
 
     Per-cloud random draws happen in batch order from the supplied generator,
-    so a fixed seed fixes the whole step. Gradients are averaged over the
-    batch and applied with three independent Adam states (encoder, decoder,
-    latent), each scaled by lr_scale.
+    so a fixed seed fixes the whole step. Each cloud's backward passes add
+    into one gradient buffer per network, which is divided by the batch size
+    in place, and the three averages are applied with independent Adam
+    states (encoder, decoder, latent), each scaled by lr_scale. The step
+    holds no per-cloud parameter-sized vector.
     """
     if len(batch) == 0:
         raise InvalidInputError("batch must contain at least one cloud")
     n_b = len(batch)
     sums = np.zeros(3)
-    acc_enc = np.zeros(bundle.encoder.n_params)
-    acc_dec = np.zeros(bundle.decoder.n_params)
-    acc_lat = np.zeros(bundle.latent.n_params)
+    nets = (bundle.encoder, bundle.decoder, bundle.latent)
+    grads = tuple(np.zeros(net.n_params) for net in nets)
     for cloud in batch:
         pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
-        loss_x, loss_z, ent, g_enc, g_dec, g_lat = _cloud_losses(
-            bundle, pts, schedule, config, rng
-        )
-        sums += (loss_x, loss_z, ent)
-        acc_enc += g_enc
-        acc_dec += g_dec
-        acc_lat += g_lat
+        sums += _cloud_losses(bundle, pts, schedule, config, rng, grads)
     sums /= n_b
     if not np.all(np.isfinite(sums)):
         raise NumericalAbortError(
             f"non-finite loss at epoch {epoch}: recon={sums[0]}, "
             f"latent={sums[1]}, entropy={sums[2]}"
         )
-    optimizers["encoder"].step(bundle.encoder.params, acc_enc / n_b, lr_scale)
-    optimizers["decoder"].step(bundle.decoder.params, acc_dec / n_b, lr_scale)
-    optimizers["latent"].step(bundle.latent.params, acc_lat / n_b, lr_scale)
+    for name, net, grad in zip(("encoder", "decoder", "latent"), nets, grads):
+        grad /= n_b
+        optimizers[name].step(net.params, grad, lr_scale)
     return LossReport(
         epoch=epoch, recon=float(sums[0]), latent=float(sums[1]), entropy=float(sums[2])
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smoothdiff import backend_name
-from smoothdiff._kernels import _BLOCK_ROWS, _reference, _sqdist_rows, chamfer, knn_neighbors
+from smoothdiff._kernels import _block_rows, _reference, _sqdist_rows, chamfer, knn_neighbors
 
 from conftest import brute_force_knn
 
@@ -62,17 +62,24 @@ def test_chamfer_identity_and_symmetry(rng):
 
 
 def test_kernels_match_reference_exactly(rng):
-    n = 3 * _BLOCK_ROWS + 5  # spans several blocks, the last one partial
+    # desk and paper scale: several row blocks, the last one partial
+    for n in (197, 2043):
+        _check_kernels_against_reference(rng, n)
+
+
+def _check_kernels_against_reference(rng, n):
+    rows = _block_rows(n)
+    assert n // rows >= 3 and n % rows
     # a grid of spacing 1/16 keeps every squared distance exact, so equal
     # distances are real ties
-    side = np.arange(16) / 16.0
+    side = np.arange(64) / 16.0
     grid = np.stack(np.meshgrid(side, side, [0.25], indexing="ij"), axis=-1).reshape(-1, 3)[:n]
     cases = [
         ("plane_grid", grid),
         ("coarse_lattice", np.round(4.0 * rng.standard_normal((n, 3))) / 4.0),
         ("duplicated", np.repeat(rng.standard_normal((n // 4 + 1, 3)), 4, axis=0)[:n]),
         ("normal", rng.standard_normal((n, 3))),
-        ("normal_small", rng.standard_normal((_BLOCK_ROWS // 2 + 3, 3))),
+        ("normal_small", rng.standard_normal((35, 3))),  # inside one block
     ]
     for name, pts in cases:
         for k in (1, 30, len(pts) - 1):

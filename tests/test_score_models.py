@@ -323,6 +323,61 @@ def test_encoder_param_gradient_matches_fd(tiny_bundle, rng):
     assert np.max(np.abs(g - fd)) < 1e-7
 
 
+def _dense_encoder_gradient(enc, pts, dmean, dlogvar):
+    """The encoder's parameter gradient backpropagated through every row."""
+    p = {name: enc.layout.view(enc.params, name) for name in enc.layout.slots}
+
+    def silu_and_slope(pre):
+        s = expit(pre)
+        return pre * s, s * (1.0 + pre * (1.0 - s))
+
+    a1, d1 = silu_and_slope(pts @ p["w1"].T + p["b1"])
+    a2, d2 = silu_and_slope(a1 @ p["w2"].T + p["b2"])
+    a3, d3 = silu_and_slope(a2 @ p["w3"].T + p["b3"])
+    cols = np.arange(a3.shape[1])
+    pick = a3.argmax(axis=0)
+    pooled = a3[pick, cols]
+    raw = pooled @ p["logvar_w"].T + p["logvar_b"]
+    dlogvar = np.where((raw > -20.0) & (raw < 4.0), dlogvar, 0.0)
+    g = {"mean_w": np.outer(dmean, pooled), "mean_b": dmean,
+         "logvar_w": np.outer(dlogvar, pooled), "logvar_b": dlogvar}
+    da3 = np.zeros_like(a3)
+    da3[pick, cols] = dmean @ p["mean_w"] + dlogvar @ p["logvar_w"]
+    da3 *= d3
+    da2 = (da3 @ p["w3"]) * d2
+    da1 = (da2 @ p["w2"]) * d1
+    for k, (da, below) in enumerate(((da1, pts), (da2, a1), (da3, a2)), start=1):
+        g[f"w{k}"], g[f"b{k}"] = da.T @ below, da.sum(axis=0)
+    return np.concatenate([g[name].ravel() for name in enc.layout.slots])
+
+
+@pytest.mark.parametrize("case", ["duplicated", "fewer_than_width", "paper"])
+def test_encoder_backward_matches_the_dense_formula(case):
+    # the backward pass runs on the max pool's rows only; every other row
+    # carries a zero gradient, so the result is the dense one up to rounding
+    gen = np.random.default_rng(11)
+    enc = PointEncoder(64, rng=gen)
+    enc.params[:] += 0.05 * gen.standard_normal(enc.n_params)
+    if case == "duplicated":  # exact argmax ties between repeated points
+        pts = np.repeat(gen.standard_normal((64, 3)), 4, axis=0)[gen.permutation(256)]
+    else:
+        pts = gen.standard_normal((100 if case == "fewer_than_width" else 2048, 3))
+    dmean, dlogvar = gen.standard_normal(64), gen.standard_normal(64)
+    mean, logvar, cache = enc.forward(pts)
+    rows = cache[0].shape[0]
+    assert rows <= min(len(pts), enc.feature_width)
+    assert all(a.shape[0] == rows for a in cache[:7])
+    got = enc.backward(cache, dmean, dlogvar)
+    want = _dense_encoder_gradient(enc, pts, dmean, dlogvar)
+    # relative to the largest entry: an entry that cancels to near zero
+    # keeps a rounding error the size of the terms it sums
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # out= adds into the caller's buffer
+    buf = np.ones(enc.n_params)
+    assert enc.backward(cache, dmean, dlogvar, out=buf) is buf
+    assert np.array_equal(buf, 1.0 + got)
+
+
 # ---------------------------------------------------------------- latent
 
 

@@ -1,5 +1,7 @@
 """Training losses, optimizer behavior, and the epoch loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from smoothdiff import (
     DiffusionSchedule,
     InvalidInputError,
     LossReport,
+    ModelConfig,
     NumericalAbortError,
     TrainConfig,
     build_models,
@@ -101,6 +104,10 @@ def test_loss_report_total():
 # --------------------------------------------------------------- gradient
 
 
+def _zero_grads(bundle):
+    return tuple(np.zeros(net.n_params) for net in (bundle.encoder, bundle.decoder, bundle.latent))
+
+
 def test_cloud_losses_gradient_matches_fd(tiny_bundle):
     """End-to-end check: the flat gradients returned by the forward/backward
     pass equal finite differences of (recon + latent - entropy)."""
@@ -115,15 +122,18 @@ def test_cloud_losses_gradient_matches_fd(tiny_bundle):
     def total_for(name):
         def f(params):
             getattr(tiny_bundle, name).params[:] = params
-            lx, lz, ent, *_ = _cloud_losses(
-                tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z])
+            lx, lz, ent = _cloud_losses(
+                tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z]),
+                _zero_grads(tiny_bundle),
             )
             return lx + lz - ent
 
         return f
 
-    lx, lz, ent, g_enc, g_dec, g_lat = _cloud_losses(
-        tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z])
+    g_enc, g_dec, g_lat = _zero_grads(tiny_bundle)
+    lx, lz, ent = _cloud_losses(
+        tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z]),
+        (g_enc, g_dec, g_lat),
     )
     assert np.isfinite([lx, lz, ent]).all()
 
@@ -143,11 +153,74 @@ def test_training_losses_are_the_public_dsm_losses(tiny_bundle):
     t = 0.31
     eps_z, noise_x, noise_z = (rng.standard_normal(s) for s in (6, (7, 3), 6))
     draws = FixedRng(t, [eps_z, noise_x, noise_z])
-    lx, lz, *_ = _cloud_losses(tiny_bundle, points, SCHEDULE, TrainConfig(), draws)
+    lx, lz, _ = _cloud_losses(
+        tiny_bundle, points, SCHEDULE, TrainConfig(), draws, _zero_grads(tiny_bundle)
+    )
     mean, logvar, _ = tiny_bundle.encoder.forward(points)
     z0 = reparameterize(mean, logvar, eps_z)
     assert lx == recon_dsm_loss(tiny_bundle.decoder, points, z0, t, noise_x, SCHEDULE)
     assert lz == latent_dsm_loss(tiny_bundle.latent, z0, t, noise_z, SCHEDULE)
+
+
+def test_cloud_losses_add_into_the_buffers(tiny_bundle):
+    """Two clouds added into one set of buffers give exactly the sum of the
+    gradients each cloud gives into fresh buffers, as train_step sums them."""
+    gen = np.random.default_rng(8)
+    clouds = [gen.standard_normal((n, 3)) for n in (9, 13)]
+    draws = [
+        (t, [gen.standard_normal(6), gen.standard_normal((len(c), 3)), gen.standard_normal(6)])
+        for t, c in zip((0.27, 0.81), clouds)
+    ]
+    cfg = TrainConfig()
+    shared = _zero_grads(tiny_bundle)
+    singles = []
+    for cloud, (t, normals) in zip(clouds, draws):
+        fresh = _zero_grads(tiny_bundle)
+        one = _cloud_losses(tiny_bundle, cloud, SCHEDULE, cfg, FixedRng(t, normals), fresh)
+        both = _cloud_losses(tiny_bundle, cloud, SCHEDULE, cfg, FixedRng(t, normals), shared)
+        assert one == both
+        singles.append(fresh)
+    for summed, first, second in zip(shared, *singles):
+        assert np.any(first != 0) and np.any(second != 0)
+        assert np.array_equal(summed, first + second)
+
+
+def test_train_step_memory_is_bounded_by_the_layouts():
+    """A desk-sized step holds no per-cloud gradient copy and no full-cloud
+    encoder state: its traced peak stays within the gradient buffers plus
+    the larger of Adam's two step temporaries and one cloud's caches."""
+    n = 256
+    bundle = build_models(ModelConfig(), seed=0)
+    enc, dec, lat = bundle.encoder, bundle.decoder, bundle.latent
+    cfg = TrainConfig(batch_size=2)
+    opts = make_optimizers(bundle, cfg)
+    gen = np.random.default_rng(0)
+    batch = [0.5 * gen.standard_normal((n, 3)) for _ in range(2)]
+    train_step(bundle, batch, SCHEDULE, cfg, gen, opts)  # warm up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_step(bundle, batch, SCHEDULE, cfg, gen, opts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+    f8 = 8  # bytes per float64
+    accumulators = f8 * (enc.n_params + dec.n_params + lat.n_params)
+    adam_temporaries = 2 * f8 * max(enc.n_params, dec.n_params, lat.n_params)
+    # hs, sigs and acts: 3 n_blocks + 1 arrays of (N, width)
+    decoder_cache = f8 * n * dec.width * (3 * dec.n_blocks + 1)
+    # pts, s1, h1, s2, h2, s3, h3 at no more than feature_width pooled rows
+    fw = enc.feature_width
+    encoder_cache = f8 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
+    # dh, dpre, the SiLU slope and one matmul result during the backward pass
+    working_rows = 4 * f8 * n * dec.width
+    bound = (
+        accumulators
+        + max(adam_temporaries, decoder_cache + encoder_cache + working_rows)
+        + 2**20  # small objects
+    )
+    assert peak <= bound, (peak, bound)
 
 
 # ------------------------------------------------------------- optimizer
