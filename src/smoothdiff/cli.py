@@ -23,7 +23,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -70,7 +69,6 @@ def _versions():
     return {
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "scipy": scipy.__version__,
         "smoothdiff": __version__,
     }
 

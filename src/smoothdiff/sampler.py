@@ -8,6 +8,13 @@ state is subtracted with strength alpha. Two chain rules are offered:
 "frozen_score" ignores the score field's own dependence on the state, and
 "exact_chain" includes it through a vector-Jacobian product (fields that
 cannot differentiate themselves raise the unsupported-mode error).
+
+Steps that keep no forward cache (every step of "off" and "frozen_score",
+and the unguided steps of "exact_chain") take their score from the field's
+step_scorer, which for the learned score nets is a float32 pass over
+weights cast once per chain, returned as float64. Guided exact steps keep
+the float64 evaluate_cached forward, because its cache feeds the input VJP;
+the chain state, the guidance and the terminal denoise stay float64.
 """
 
 import csv
@@ -144,7 +151,8 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
     """Euler-Maruyama from t = 1 down to t_floor, from a standard-normal state.
 
     Each step evaluates the score (keeping the field's cache on guided
-    exact-chain steps, for the input VJP), refreshes the Tweedie-denoised
+    exact-chain steps, for the input VJP, and through the field's
+    step_scorer on every other step), refreshes the Tweedie-denoised
     estimate and its graph when the constraint is active or the trajectory is
     recorded, takes the Euler step, and subtracts alpha times the constraint
     gradient while t <= t_constraint. Returns (final state, trajectory rows
@@ -152,6 +160,7 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
     message.
     """
     dt = (1.0 - config.t_floor) / config.n_steps
+    score_step = field.step_scorer()
     x = rng.standard_normal(shape)
     lap = None
     rows = [] if config.record_trajectory else None
@@ -160,7 +169,7 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
         active = config.constrained and t <= config.t_constraint
         exact = active and config.constraint_mode == "exact_chain"
         score, cache = (field.evaluate_cached(x, z, t) if exact
-                        else (field.evaluate(x, z, t), None))
+                        else (score_step(x, z, t), None))
         score = np.asarray(score, dtype=np.float64)
         if score.shape != x.shape:
             raise InvalidInputError("score shape does not match the state")

@@ -15,7 +15,14 @@ embedding, code, block inputs h, sigmoids, SiLU outputs): backward reads
 the parameter gradients from it, and input_vjp reuses the one the sampler
 kept from its score evaluation. evaluate needs only the score, so it runs
 forward with keep=False: no cache, two row buffers reused across the
-blocks, and the same outputs bit for bit. The encoder's max pool reads one
+blocks, and the same outputs bit for bit. The reverse chain scores its
+cache-free steps with step_scorer, which runs that same keep=False forward
+on a float32 copy of the parameters, cast once per chain: the row arrays
+are float32, the row-constant terms are formed in float64 and then cast,
+and the score comes back as float64. Everything else is float64, evaluate
+included: it stays forward(...)[0] bit for bit, since finite-difference
+checks difference it at steps float32 rounding would swamp, and the cached
+forward feeds backward and input_vjp. The encoder's max pool reads one
 row per feature, so its cache is (pts, s1, h1, s2, h2, s3, h3) at the
 pooled rows only, at most min(N, feature_width) of them, with each
 feature's index into those rows, the pooled feature and the unclipped
@@ -118,11 +125,17 @@ class ScoreField(abc.ABC):
     which is how the sampler detects unsupported exact-chain guidance.
     evaluate_cached also returns what the field's input_vjp can reuse from
     that evaluation (None by default); input_vjp takes it as `cache`.
+    step_scorer gives the reverse chain its function for the steps that keep
+    no cache (evaluate by default).
     """
 
     @abc.abstractmethod
     def evaluate(self, xt, z, t):
         ...
+
+    def step_scorer(self):
+        """(xt, z, t) -> score for one reverse chain's cache-free steps."""
+        return self.evaluate
 
     def evaluate_cached(self, xt, z, t):
         """(score, cache or None) for a later input_vjp at the same point."""
@@ -254,23 +267,33 @@ class _ResidualMlp(ScoreField):
     def _p(self, name):
         return self.layout.view(self.params, name)
 
-    def _forward_rows(self, state, code, t, keep=True):
+    def _forward_rows(self, state, code, t, keep=True, params=None):
         """(scores, cache) for state rows (R, state_dim) under code (cond_dim,).
 
-        With keep=False the cache is None: the blocks reuse one act and one
-        sig buffer and update h in place, in the same order of operations.
+        The row weights are read from params, a flat vector in self.layout
+        (self.params by default), and the row arrays take its dtype. The
+        row-constant terms and out_b are formed in float64 from self.params
+        and cast to that dtype, and the scores come back in float64; on
+        float64 weights every cast is a no-op. With keep=False the cache is
+        None: the blocks reuse one act and one sig buffer and update h in
+        place, in the same order of operations.
         """
-        sd, w = self.state_dim, self.width
+        p = self.params if params is None else params
+        sd, w, dtype = self.state_dim, self.width, p.dtype
+
+        def row_weights(name):
+            return self.layout.view(p, name)
+
         temb = time_embedding(t, self.temb_dim)
-        in_w = self._p("in_w")
-        h = state @ in_w[:, :sd].T
-        h += in_w[:, sd:] @ temb + self._p("in_b")
+        h = state.astype(dtype, copy=False) @ row_weights("in_w")[:, :sd].T
+        h += (self._p("in_w")[:, sd:] @ temb + self._p("in_b")).astype(dtype, copy=False)
         hs, sigs, acts = [h], [], []
         act = sig = None
         for k in range(self.n_blocks):
-            w1, w2 = self._p(f"b{k}_w1"), self._p(f"b{k}_w2")
+            w1, w2 = row_weights(f"b{k}_w1"), row_weights(f"b{k}_w2")
             act = np.matmul(h, w1[:, :w].T, out=None if keep else act)
-            act += w1[:, w:] @ code + self._p(f"b{k}_b1")
+            const = self._p(f"b{k}_w1")[:, w:] @ code + self._p(f"b{k}_b1")
+            act += const.astype(dtype, copy=False)
             sig = _silu_inplace(act, out=None if keep else sig)
             if keep:
                 sigs.append(sig)
@@ -280,8 +303,8 @@ class _ResidualMlp(ScoreField):
                 hs.append(h)
             else:
                 h += np.matmul(act, w2.T, out=sig)
-            h += self._p(f"b{k}_b2")
-        out = h @ self._p("out_w").T
+            h += row_weights(f"b{k}_b2")
+        out = (h @ row_weights("out_w").T).astype(np.float64, copy=False)
         out += self._p("out_b")
         return out, ((state, temb, code, hs, sigs, acts) if keep else None)
 
@@ -339,11 +362,25 @@ class _ResidualMlp(ScoreField):
         return dh @ self._p("in_w")[:, : self.state_dim]
 
     @abc.abstractmethod
-    def _field_forward(self, xt, z, t, keep=True):
+    def _field_forward(self, xt, z, t, keep=True, params=None):
         """forward() reached through the ScoreField arguments (xt, z, t)."""
 
     def evaluate(self, xt, z, t):
         return self._field_forward(xt, z, t, keep=False)[0]
+
+    def step_scorer(self):
+        """evaluate's cache-free pass on a float32 copy of the parameters.
+
+        The copy is made here, once per reverse chain, so an in-place update
+        of self.params (an Adam step) is never read stale, and it is dropped
+        with the returned function.
+        """
+        weights = self.params.astype(np.float32)
+
+        def score(xt, z, t):
+            return self._field_forward(xt, z, t, keep=False, params=weights)[0]
+
+        return score
 
     def evaluate_cached(self, xt, z, t):
         return self._field_forward(xt, z, t)
@@ -370,7 +407,7 @@ class MlpScoreNet(_ResidualMlp):
         super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
                          state_dim=3, cond_dim=latent_dim)
 
-    def forward(self, xt, z, t, keep=True):
+    def forward(self, xt, z, t, keep=True, params=None):
         xt = np.asarray(xt, dtype=np.float64)
         if xt.ndim != 2 or xt.shape[1] != 3:
             raise InvalidInputError(f"xt must be (N, 3), got {xt.shape}")
@@ -381,7 +418,7 @@ class MlpScoreNet(_ResidualMlp):
             raise InvalidInputError(
                 f"latent code must have dimension {self.latent_dim}, got {z.shape}"
             )
-        return self._forward_rows(xt, z, t, keep)
+        return self._forward_rows(xt, z, t, keep, params)
 
     def backward(self, cache, upstream, out=None):
         """Backprop an (N, 3) upstream gradient.
@@ -391,8 +428,8 @@ class MlpScoreNet(_ResidualMlp):
         """
         return self._backward_rows(cache, upstream, out)
 
-    def _field_forward(self, xt, z, t, keep=True):
-        return self.forward(xt, z, t, keep=keep)
+    def _field_forward(self, xt, z, t, keep=True, params=None):
+        return self.forward(xt, z, t, keep=keep, params=params)
 
 
 class PointEncoder:
@@ -506,13 +543,13 @@ class LatentScoreNet(_ResidualMlp):
         super().__init__(latent_dim, width, n_blocks, temb_dim, params, rng,
                          state_dim=latent_dim, cond_dim=0)
 
-    def forward(self, zt, t, keep=True):
+    def forward(self, zt, t, keep=True, params=None):
         zt = np.asarray(zt, dtype=np.float64)
         if zt.shape != (self.latent_dim,):
             raise InvalidInputError(
                 f"latent state must have dimension {self.latent_dim}, got {zt.shape}"
             )
-        out, cache = self._forward_rows(zt[None, :], np.zeros(0), t, keep)
+        out, cache = self._forward_rows(zt[None, :], np.zeros(0), t, keep, params)
         return out[0], cache
 
     def backward(self, cache, upstream, out=None):
@@ -524,10 +561,10 @@ class LatentScoreNet(_ResidualMlp):
         g, dzt, _ = self._backward_rows(cache, upstream[None, :], out)
         return g, dzt[0]
 
-    def _field_forward(self, xt, z, t, keep=True):
+    def _field_forward(self, xt, z, t, keep=True, params=None):
         if z is not None:
             raise InvalidInputError("latent score net takes no conditioning code")
-        return self.forward(xt, t, keep=keep)
+        return self.forward(xt, t, keep=keep, params=params)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from smoothdiff import (
     GaussianMixtureScore,
     InvalidInputError,
     InvalidParameterError,
+    LatentScoreNet,
     MlpScoreNet,
     NumericalAbortError,
     SamplerConfig,
@@ -207,14 +208,17 @@ def test_exact_generate_runs_four_argument_field():
 
 def test_exact_chain_reuses_the_step_forward(monkeypatch, tiny_bundle):
     # one decoder forward per step in every mode: guided exact steps keep the
-    # forward cache and hand it to input_vjp, every other step keeps none
+    # float64 forward cache and hand it to input_vjp, every other step keeps
+    # none and reads the float32 weights
     calls = {"forward": [], "input_vjp": []}
     for name in calls:
         original = getattr(MlpScoreNet, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name].append(kwargs.get("keep", True))
-            return _original(*args, **kwargs)
+        def counted(net, *args, _original=original, _name=name, **kwargs):
+            weights = kwargs.get("params")
+            weights = net.params if weights is None else weights
+            calls[_name].append((kwargs.get("keep", True), weights.dtype))
+            return _original(net, *args, **kwargs)
 
         monkeypatch.setattr(MlpScoreNet, name, counted)
     z = np.random.default_rng(0).standard_normal((1, 6))
@@ -229,8 +233,32 @@ def test_exact_chain_reuses_the_step_forward(monkeypatch, tiny_bundle):
         assert 0 < guided < config.n_steps
         cached = guided if mode == "exact_chain" else 0
         assert len(calls["forward"]) == config.n_steps, mode
-        assert sum(calls["forward"]) == cached, mode
+        assert sum(keep for keep, _ in calls["forward"]) == cached, mode
         assert len(calls["input_vjp"]) == cached, mode
+        for keep, dtype in calls["forward"]:
+            assert dtype == (np.float64 if keep else np.float32), mode
+
+
+def test_chain_reads_in_place_weight_updates(tiny_bundle):
+    # Adam updates params in place; the chain's float32 weights are cast per
+    # chain, so the next generate must see the update
+    dec, lat = tiny_bundle.decoder, tiny_bundle.latent
+    config = SamplerConfig(n_steps=8, alpha=0.0, constraint_mode="off", seed=4)
+
+    def sample(d, l):
+        return generate(d, SCHEDULE, config, 2, 10, latent_field=l)[0][1].points
+
+    before = sample(dec, lat)
+    gen = np.random.default_rng(8)
+    for net in (dec, lat):
+        net.params -= 0.05 * gen.standard_normal(net.n_params)
+    after = sample(dec, lat)
+    fresh = sample(MlpScoreNet(dec.latent_dim, width=dec.width, n_blocks=dec.n_blocks,
+                               temb_dim=dec.temb_dim, params=dec.params),
+                   LatentScoreNet(lat.latent_dim, width=lat.width, n_blocks=lat.n_blocks,
+                                  temb_dim=lat.temb_dim, params=lat.params))
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, fresh)
 
 
 def test_frozen_two_point_hand_case():

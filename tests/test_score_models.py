@@ -24,6 +24,7 @@ from smoothdiff import (
     time_embedding,
 )
 from smoothdiff.score_models import _silu_inplace
+from smoothdiff.sde import EPS_T
 
 from conftest import numeric_grad
 
@@ -254,6 +255,20 @@ def test_evaluate_runs_the_cache_free_forward(desk_nets, n, t):
     assert np.array_equal(lat.evaluate(zt, None, t), out)
     free, none = lat.forward(zt, t, keep=False)
     assert none is None and np.array_equal(free, out)
+
+
+@pytest.mark.parametrize("t", [EPS_T, 0.3, 1.0])
+@pytest.mark.parametrize("n", [256, 2048])
+def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
+    # the chain's float32 pass against the float64 evaluate it stands in for
+    dec, lat = desk_nets
+    gen = np.random.default_rng(n)
+    xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
+    for net, args in ((dec, (xt, z, t)), (lat, (zt, None, t))):
+        want = net.evaluate(*args)
+        got = net.step_scorer()(*args)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 def test_silu_sigmoid_matches_expit():
