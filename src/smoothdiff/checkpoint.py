@@ -15,12 +15,12 @@ keys are preserved and returned, which leaves room for additions without a
 version bump.
 """
 
-import os
 import struct
 
 import numpy as np
 
 from .errors import DataError
+from .pointio import _atomic_open
 from .score_models import LatentScoreNet, MlpScoreNet, PointEncoder, ModelBundle
 from .sde import DiffusionSchedule
 
@@ -67,17 +67,8 @@ def save_checkpoint(path, bundle, schedule, trained_epochs=0, extra=None):
         arr = np.ascontiguousarray(params, dtype="<f8")
         chunks.append(struct.pack("<Q", arr.size))
         chunks.append(arr.tobytes())
-    # Write a sibling temp file and rename it over path, so an interrupted
-    # save leaves the previous checkpoint in place.
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 class _Reader:
@@ -102,7 +93,7 @@ class _Reader:
     def string(self):
         raw = self.take(self.u32())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: bad header string: {exc}") from exc
 
@@ -115,7 +106,8 @@ def load_checkpoint(path):
     """
     try:
         with open(path, "rb") as fh:
-            reader = _Reader(fh.read(), path)
+            # A memoryview, so taking a parameter block copies nothing.
+            reader = _Reader(memoryview(fh.read()), path)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if reader.take(4) != MAGIC:
@@ -147,7 +139,8 @@ def load_checkpoint(path):
     for _ in range(3):
         count = reader.u64()
         raw = reader.take(8 * count)
-        blocks.append(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+        # A read-only view of the file's bytes; each net copies it once.
+        blocks.append(np.frombuffer(raw, dtype="<f8"))
     if reader.off != len(reader.blob):
         raise DataError(f"{path}: trailing bytes after parameter blocks")
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .geometry import ShapeSpec, generate_shape
 from .metrics import _mean_smoothness, evaluate_sets, write_metrics_csv
-from .pointio import read_cloud_dir, write_xyz
+from .pointio import _atomic_open, read_cloud_dir, write_xyz
 from .sampler import SamplerConfig, generate, tweedie_denoise
 from .score_models import GaussianMixtureScore, ModelConfig, build_models
 from .sde import DiffusionSchedule
@@ -78,7 +78,7 @@ def _config_hash(cfg):
 
 
 def _write_manifest(directory, payload):
-    with open(os.path.join(directory, "manifest.json"), "w", newline="") as fh:
+    with _atomic_open(os.path.join(directory, "manifest.json")) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -288,7 +288,7 @@ def cmd_sweep_k(args, cfg):
         out_path = os.path.join(parent, "sweep.csv")
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
+    with _atomic_open(out_path) as fh:
         fh.write("k,mean_smoothness,rs,baseline_smoothness\n")
         for k, mean_s in zip(k_values, means):
             rs_value = abs(mean_s - ref_mean)

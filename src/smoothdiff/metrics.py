@@ -19,6 +19,7 @@ from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import PointCloud, build_knn_graph, build_laplacian
 from .geometry import smoothness as graph_smoothness
+from .pointio import _atomic_open
 
 
 def _points(cloud):
@@ -158,7 +159,7 @@ def write_metrics_csv(path, report):
         ("gt_smoothness", report.gt_smoothness),
         ("model_smoothness", report.model_smoothness),
     ]
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
         for name, value in rows:

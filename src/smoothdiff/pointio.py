@@ -1,16 +1,40 @@
-"""Reading and writing point clouds in the xyz-ascii format.
+"""Reading and writing point clouds in the xyz-ascii format, and the atomic writer.
 
 One point per line: three decimal floats separated by single spaces, "\n"
 line endings, no header. The reader additionally accepts scientific notation
 and CRLF line endings.
+
+Every file the package writes whole (clouds, checkpoints, manifests,
+metrics, sweeps and trajectories) goes through _atomic_open, so a failed or
+interrupted write never leaves a half-written file in place of the old one.
 """
 
+import contextlib
 import os
 
 import numpy as np
 
 from .errors import DataError
 from .geometry import PointCloud
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode="w"):
+    """Open a sibling temp file for path's new contents and rename it over path.
+
+    The rename happens only when the with block finishes; on any failure the
+    temp file is removed and a previous file at path stays as it was. Text
+    files are opened with newline="", so the writer picks the line endings.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _fmt(value):
@@ -21,7 +45,7 @@ def _fmt(value):
 def write_xyz(path, cloud):
     """Write a cloud as xyz-ascii. Coordinates round-trip exactly."""
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         for x, y, z in pts:
             fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
 

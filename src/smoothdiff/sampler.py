@@ -9,12 +9,15 @@ state is subtracted with strength alpha. Two chain rules are offered:
 "exact_chain" includes it through a vector-Jacobian product (fields that
 cannot differentiate themselves raise the unsupported-mode error).
 
-Steps that keep no forward cache (every step of "off" and "frozen_score",
-and the unguided steps of "exact_chain") take their score from the field's
-step_scorer, which for the learned score nets is a float32 pass over
-weights cast once per chain, returned as float64. Guided exact steps keep
-the float64 evaluate_cached forward, because its cache feeds the input VJP;
-the chain state, the guidance and the terminal denoise stay float64.
+Every step takes its score from the field's step_scorer. For the learned
+score nets that is a float32 pass over weights cast once per chain,
+returned as float64, on every step of every mode. A guided exact step keeps
+the cache of its float32 forward, and the input VJP on that cache runs in
+float32 too and returns float64. The Tweedie estimate, the Laplacian, the
+constraint gradient, the chain state and the terminal denoise stay
+float64, and so does constraint_gradient called without a score and cache:
+it evaluates the field through its float64 public routes, which
+finite-difference checks difference at steps float32 rounding would swamp.
 """
 
 import csv
@@ -34,6 +37,7 @@ from .geometry import (
     smoothness,
     smoothness_gradient,
 )
+from .pointio import _atomic_open
 from .sde import EPS_T
 
 CONSTRAINT_MODES = ("off", "frozen_score", "exact_chain")
@@ -98,7 +102,7 @@ class Trajectory:
     smoothness: np.ndarray
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with _atomic_open(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "t", "smoothness"])
             for k, tk, sk in zip(self.step, self.t, self.smoothness):
@@ -150,14 +154,13 @@ def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None,
 def _reverse_chain(field, z, shape, schedule, config, rng, what):
     """Euler-Maruyama from t = 1 down to t_floor, from a standard-normal state.
 
-    Each step evaluates the score (keeping the field's cache on guided
-    exact-chain steps, for the input VJP, and through the field's
-    step_scorer on every other step), refreshes the Tweedie-denoised
-    estimate and its graph when the constraint is active or the trajectory is
-    recorded, takes the Euler step, and subtracts alpha times the constraint
-    gradient while t <= t_constraint. Returns (final state, trajectory rows
-    or None). A non-finite state aborts with the step, t and `what` in the
-    message.
+    Each step evaluates the score through the field's step_scorer, keeping
+    its cache on guided exact-chain steps for the input VJP, refreshes the
+    Tweedie-denoised estimate and its graph when the constraint is active or
+    the trajectory is recorded, takes the Euler step, and subtracts alpha
+    times the constraint gradient while t <= t_constraint. Returns (final
+    state, trajectory rows or None). A non-finite state aborts with the
+    step, t and `what` in the message.
     """
     dt = (1.0 - config.t_floor) / config.n_steps
     score_step = field.step_scorer()
@@ -168,8 +171,7 @@ def _reverse_chain(field, z, shape, schedule, config, rng, what):
         t = 1.0 - k * dt
         active = config.constrained and t <= config.t_constraint
         exact = active and config.constraint_mode == "exact_chain"
-        score, cache = (field.evaluate_cached(x, z, t) if exact
-                        else (score_step(x, z, t), None))
+        score, cache = score_step(x, z, t, keep=exact)
         score = np.asarray(score, dtype=np.float64)
         if score.shape != x.shape:
             raise InvalidInputError("score shape does not match the state")

@@ -11,19 +11,24 @@ row with no conditioning. The time embedding and the code are the same in
 every row, so their products with the input and block weights are formed
 once per call as width-long vectors. SiLU takes its sigmoid as
 0.5 + 0.5 tanh(x / 2). A forward pass returns its cache, (state, time
-embedding, code, block inputs h, sigmoids, SiLU outputs): backward reads
-the parameter gradients from it, and input_vjp reuses the one the sampler
-kept from its score evaluation. evaluate needs only the score, so it runs
+embedding, code, block inputs h, sigmoids, SiLU outputs, the weight
+vector it ran on): backward reads the parameter gradients from it, and
+input_vjp reuses the one the sampler kept from its score evaluation.
+evaluate needs only the score, so it runs
 forward with keep=False: no cache, two row buffers reused across the
-blocks, and the same outputs bit for bit. The reverse chain scores its
-cache-free steps with step_scorer, which runs that same keep=False forward
-on a float32 copy of the parameters, cast once per chain: the row arrays
-are float32, the row-constant terms are formed in float64 and then cast,
-and the score comes back as float64. Everything else is float64, evaluate
-included: it stays forward(...)[0] bit for bit, since finite-difference
-checks difference it at steps float32 rounding would swamp, and the cached
-forward feeds backward and input_vjp. The encoder's max pool reads one
-row per feature, so its cache is (pts, s1, h1, s2, h2, s3, h3) at the
+blocks, and the same outputs bit for bit. The reverse chain scores every
+step with step_scorer, which runs forward on a float32 copy of the
+parameters, cast once per chain: the row arrays are float32, the
+row-constant terms are formed in float64 and then cast, and the score
+comes back as float64. A guided exact-chain step keeps that forward's
+cache, which names the float32 weights it ran on, so input_vjp on it runs
+in float32 as well and returns float64. Everything else is float64:
+evaluate, evaluate_cached, input_vjp without a cache, and backward.
+evaluate stays forward(...)[0] bit for bit, and the public exact-chain
+gradient goes through evaluate_cached and input_vjp, since
+finite-difference checks difference them at steps float32 rounding would
+swamp; backward trains on the float64 cache. The encoder's max pool reads
+one row per feature, so its cache is (pts, s1, h1, s2, h2, s3, h3) at the
 pooled rows only, at most min(N, feature_width) of them, with each
 feature's index into those rows, the pooled feature and the unclipped
 log-variance; its backward pass runs on those rows. All parameters live in
@@ -125,8 +130,8 @@ class ScoreField(abc.ABC):
     which is how the sampler detects unsupported exact-chain guidance.
     evaluate_cached also returns what the field's input_vjp can reuse from
     that evaluation (None by default); input_vjp takes it as `cache`.
-    step_scorer gives the reverse chain its function for the steps that keep
-    no cache (evaluate by default).
+    step_scorer gives the reverse chain the function it scores every step
+    with (evaluate and evaluate_cached by default).
     """
 
     @abc.abstractmethod
@@ -134,8 +139,24 @@ class ScoreField(abc.ABC):
         ...
 
     def step_scorer(self):
-        """(xt, z, t) -> score for one reverse chain's cache-free steps."""
-        return self.evaluate
+        """(xt, z, t, keep=False) -> (score, cache or None) for one reverse chain.
+
+        The chain calls it on every step, with keep=True on guided
+        exact-chain steps, whose cache goes to input_vjp at the same point.
+        By default the steps run evaluate and evaluate_cached, in float64.
+        The score nets override it: every step, guided exact steps
+        included, scores in float32 on weights cast once per chain, and the
+        score and the VJP on its cache come back as float64. The public
+        evaluate, evaluate_cached and input_vjp without a cache stay
+        float64, for finite-difference checks and for training.
+        """
+
+        def score(xt, z, t, keep=False):
+            if keep:
+                return self.evaluate_cached(xt, z, t)
+            return self.evaluate(xt, z, t), None
+
+        return score
 
     def evaluate_cached(self, xt, z, t):
         """(score, cache or None) for a later input_vjp at the same point."""
@@ -274,9 +295,10 @@ class _ResidualMlp(ScoreField):
         (self.params by default), and the row arrays take its dtype. The
         row-constant terms and out_b are formed in float64 from self.params
         and cast to that dtype, and the scores come back in float64; on
-        float64 weights every cast is a no-op. With keep=False the cache is
-        None: the blocks reuse one act and one sig buffer and update h in
-        place, in the same order of operations.
+        float64 weights every cast is a no-op. The cache ends with params,
+        so that _input_vjp_rows runs on the weights the forward ran on. With
+        keep=False the cache is None: the blocks reuse one act and one sig
+        buffer and update h in place, in the same order of operations.
         """
         p = self.params if params is None else params
         sd, w, dtype = self.state_dim, self.width, p.dtype
@@ -306,16 +328,17 @@ class _ResidualMlp(ScoreField):
             h += row_weights(f"b{k}_b2")
         out = (h @ row_weights("out_w").T).astype(np.float64, copy=False)
         out += self._p("out_b")
-        return out, ((state, temb, code, hs, sigs, acts) if keep else None)
+        return out, ((state, temb, code, hs, sigs, acts, p) if keep else None)
 
     def _backward_rows(self, cache, upstream, out=None):
         """Backprop an (R, state_dim) upstream gradient.
 
         Returns (flat parameter gradient, d/d state rows, d/d code). The
         parameter gradient is added into out, a flat vector of n_params,
-        when one is given, and into a fresh zero vector otherwise.
+        when one is given, and into a fresh zero vector otherwise. The cache
+        must come from a float64 forward on self.params.
         """
-        state, temb, code, hs, sigs, acts = cache
+        state, temb, code, hs, sigs, acts, _ = cache
         sd, w = self.state_dim, self.width
         g = np.zeros(self.layout.size) if out is None else out
 
@@ -351,15 +374,23 @@ class _ResidualMlp(ScoreField):
         return g, dh @ self._p("in_w")[:, :sd], dcode
 
     def _input_vjp_rows(self, cache, upstream):
-        """d/d state rows of an (R, state_dim) upstream; no parameter gradient."""
-        _, _, _, _, sigs, acts = cache
+        """d/d state rows of an (R, state_dim) upstream; no parameter gradient.
+
+        Runs in the dtype of the weights the cache names and returns float64.
+        """
+        _, _, _, _, sigs, acts, p = cache
         w = self.width
-        dh = upstream @ self._p("out_w")
+
+        def weights(name):
+            return self.layout.view(p, name)
+
+        dh = upstream.astype(p.dtype, copy=False) @ weights("out_w")
         for k in reversed(range(self.n_blocks)):
-            dpre = dh @ self._p(f"b{k}_w2")
+            dpre = dh @ weights(f"b{k}_w2")
             dpre *= _silu_slope(sigs[k], acts[k])
-            dh += dpre @ self._p(f"b{k}_w1")[:, :w]
-        return dh @ self._p("in_w")[:, : self.state_dim]
+            dh += dpre @ weights(f"b{k}_w1")[:, :w]
+        rows = dh @ weights("in_w")[:, : self.state_dim]
+        return rows.astype(np.float64, copy=False)
 
     @abc.abstractmethod
     def _field_forward(self, xt, z, t, keep=True, params=None):
@@ -369,16 +400,19 @@ class _ResidualMlp(ScoreField):
         return self._field_forward(xt, z, t, keep=False)[0]
 
     def step_scorer(self):
-        """evaluate's cache-free pass on a float32 copy of the parameters.
+        """The forward pass on a float32 copy of the parameters, for both kinds of step.
 
-        The copy is made here, once per reverse chain, so an in-place update
-        of self.params (an Adam step) is never read stale, and it is dropped
-        with the returned function.
+        keep=False runs evaluate's cache-free pass; keep=True keeps a cache
+        that names the float32 weights, so input_vjp on it runs in float32
+        too. Scores and VJPs come back as float64. The copy is made here,
+        once per reverse chain, so an in-place update of self.params (an
+        Adam step) is never read stale, and it is dropped with the returned
+        function.
         """
         weights = self.params.astype(np.float32)
 
-        def score(xt, z, t):
-            return self._field_forward(xt, z, t, keep=False, params=weights)[0]
+        def score(xt, z, t, keep=False):
+            return self._field_forward(xt, z, t, keep=keep, params=weights)
 
         return score
 

@@ -67,6 +67,35 @@ def brute_force_knn(points, k):
     return out
 
 
+class TornFile:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def tear_writes(monkeypatch):
+    """Make every file the atomic writer opens fail halfway with ENOSPC."""
+    import smoothdiff.pointio as pointio
+
+    def torn_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(pointio, "open", torn_open, raising=False)
+
+
 class FixedRng:
     """Generator stub: fixed uniform value, queued standard_normal draws."""
 

@@ -13,6 +13,8 @@ from smoothdiff import (
     save_checkpoint,
 )
 
+from conftest import tear_writes
+
 
 @pytest.fixture
 def bundle(tiny_model_config):
@@ -32,6 +34,10 @@ def test_round_trip_bitwise(bundle, tmp_path):
     assert np.array_equal(loaded.encoder.params, bundle.encoder.params)
     assert np.array_equal(loaded.decoder.params, bundle.decoder.params)
     assert np.array_equal(loaded.latent.params, bundle.latent.params)
+    for net in (loaded.encoder, loaded.decoder, loaded.latent):
+        # each net owns a writable copy, not a view of the file's bytes
+        assert net.params.flags.writeable and net.params.flags.owndata
+        assert net.params.dtype == np.float64
     assert sched.beta_min == 0.2 and sched.beta_max == 15.0
     assert header["trained_epochs"] == 42
     assert header["latent_dim"] == 6
@@ -129,32 +135,12 @@ def test_rejects_missing_file(tmp_path):
 
 
 def test_failed_save_keeps_previous_checkpoint(bundle, tmp_path, monkeypatch):
-    import smoothdiff.checkpoint as checkpoint_mod
-
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, bundle, DiffusionSchedule(), trained_epochs=3)
     before = path.read_bytes()
 
-    class TornFile:
-        """Writes half of what it is given, then fails like a full disk."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            self.fh.flush()
-            raise OSError(28, "No space left on device")
-
     with monkeypatch.context() as m:
-        m.setattr(checkpoint_mod, "open", lambda p, mode: TornFile(open(p, mode)),
-                  raising=False)
+        tear_writes(m)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, bundle, DiffusionSchedule(), trained_epochs=9)
 

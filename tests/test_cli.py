@@ -23,6 +23,10 @@ from smoothdiff import (
     save_checkpoint,
 )
 from smoothdiff.cli import build_parser, main
+from smoothdiff.pointio import write_xyz
+from smoothdiff.sampler import Trajectory
+
+from conftest import tear_writes
 
 TINY_CFG = """\
 model_latent_dim = 8
@@ -385,6 +389,46 @@ def test_sweep_k_checks_eval_k_before_sampling(pipeline, tmp_path, monkeypatch, 
                  "--eval-k", "40", "--points", "20", "--steps", "5"]) == 2
     assert "eval k=40 must be below n_points=20" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+# ------------------------------------------------------------- artifacts
+
+
+def _artifact_writers(pipeline, out):
+    """(path, write) for each artifact the CLI writes whole, other than the checkpoint."""
+    common = ["--config", pipeline["cfg"], "--reference", pipeline["synth"]]
+    metrics_argv = ["eval", *common, "--generated", pipeline["synth"],
+                    "--out", str(out / "metrics.csv")]
+    sweep_argv = ["sweep-k", *common, "--checkpoint", pipeline["ckpt"],
+                  "--out", str(out / "sweep.csv"), "--k-values", "3", "--count", "1",
+                  "--points", "20", "--steps", "4", "--alpha", "1e-4"]
+    traj = Trajectory(step=np.arange(3), t=np.array([1.0, 0.5, 0.01]),
+                      smoothness=np.array([3.0, 2.0, 1.0]))
+    return {
+        "xyz": (out / "cloud.xyz", lambda: write_xyz(out / "cloud.xyz", np.ones((4, 3)))),
+        "manifest": (out / "manifest.json",
+                     lambda: cli._write_manifest(str(out), {"command": "synth"})),
+        "metrics": (out / "metrics.csv", lambda: main(metrics_argv)),
+        "sweep": (out / "sweep.csv", lambda: main(sweep_argv)),
+        "trajectory": (out / "trajectory_0000.csv",
+                       lambda: traj.write_csv(out / "trajectory_0000.csv")),
+    }
+
+
+@pytest.mark.parametrize("artifact", ["xyz", "manifest", "metrics", "sweep", "trajectory"])
+def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, artifact):
+    # a write that fails halfway (ENOSPC) leaves the previous file whole and
+    # no temp file beside it, as for the checkpoint
+    path, write = _artifact_writers(pipeline, tmp_path)[artifact]
+    write()
+    before = path.read_bytes()
+    names = sorted(os.listdir(tmp_path))
+    with monkeypatch.context() as m:
+        tear_writes(m)
+        with pytest.raises(OSError, match="No space"):
+            write()
+    assert sorted(os.listdir(tmp_path)) == names
+    assert path.read_bytes() == before
 
 
 # ------------------------------------------------------------------- misc

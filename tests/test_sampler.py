@@ -174,6 +174,23 @@ def test_exact_chain_matches_fd_of_denoised_smoothness(rng):
     fd = numeric_grad(s_of_state, xt.copy(), eps=1e-6)
     assert np.max(np.abs(grad - fd)) < 1e-5
 
+    # the public route through a learned net (evaluate_cached, then
+    # input_vjp) stays float64: a float32 score or VJP misses this central
+    # difference by about 1e-8 of its largest entry, the float64 route by
+    # about 1e-9
+    net = MlpScoreNet(6, width=16, n_blocks=2, temb_dim=8)
+    net.params[:] = 0.1 * rng.standard_normal(net.n_params)
+    z = rng.standard_normal(6)
+    xhat0 = tweedie_denoise(xt, net.evaluate(xt, z, t), t, SCHEDULE)
+    lap = build_laplacian(build_knn_graph(xhat0, 3))
+    grad = constraint_gradient(xt, net, z, t, lap, "exact_chain", SCHEDULE)
+    fd = numeric_grad(
+        lambda y: smoothness(tweedie_denoise(y, net.evaluate(y, z, t), t, SCHEDULE), lap),
+        xt.copy(),
+        eps=1e-6,
+    )
+    assert np.max(np.abs(grad - fd)) <= 3e-9 * np.max(np.abs(fd))
+
 
 def test_frozen_equals_exact_for_state_independent_field(rng):
     field = ConstField(np.array([0.2, -0.3, 0.15]))
@@ -207,58 +224,70 @@ def test_exact_generate_runs_four_argument_field():
 
 
 def test_exact_chain_reuses_the_step_forward(monkeypatch, tiny_bundle):
-    # one decoder forward per step in every mode: guided exact steps keep the
-    # float64 forward cache and hand it to input_vjp, every other step keeps
-    # none and reads the float32 weights
-    calls = {"forward": [], "input_vjp": []}
-    for name in calls:
-        original = getattr(MlpScoreNet, name)
+    # one decoder forward per step in every mode, each on the chain's float32
+    # weights; a guided exact step keeps that forward's cache and hands it to
+    # exactly one input_vjp, before the next step's forward
+    events = []
+    forward, input_vjp = MlpScoreNet.forward, MlpScoreNet.input_vjp
 
-        def counted(net, *args, _original=original, _name=name, **kwargs):
-            weights = kwargs.get("params")
-            weights = net.params if weights is None else weights
-            calls[_name].append((kwargs.get("keep", True), weights.dtype))
-            return _original(net, *args, **kwargs)
+    def counted_forward(net, *args, **kwargs):
+        out = forward(net, *args, **kwargs)
+        events.append(("forward", kwargs.get("keep", True), kwargs.get("params"), out[1]))
+        return out
 
-        monkeypatch.setattr(MlpScoreNet, name, counted)
+    def counted_input_vjp(net, *args, **kwargs):
+        events.append(("input_vjp", None, None, kwargs.get("cache")))
+        return input_vjp(net, *args, **kwargs)
+
+    monkeypatch.setattr(MlpScoreNet, "forward", counted_forward)
+    monkeypatch.setattr(MlpScoreNet, "input_vjp", counted_input_vjp)
     z = np.random.default_rng(0).standard_normal((1, 6))
     for mode in ("off", "frozen_score", "exact_chain"):
-        for made in calls.values():
-            made.clear()
+        events.clear()
         config = SamplerConfig(n_steps=10, alpha=1e-3, knn_k=4, constraint_mode=mode,
                                t_constraint=0.5, seed=2)
         generate(tiny_bundle.decoder, SCHEDULE, config, n_clouds=1, n_points=12, latents=z)
         dt = (1.0 - config.t_floor) / config.n_steps
         guided = sum(1.0 - k * dt <= config.t_constraint for k in range(config.n_steps))
         assert 0 < guided < config.n_steps
-        cached = guided if mode == "exact_chain" else 0
-        assert len(calls["forward"]) == config.n_steps, mode
-        assert sum(keep for keep, _ in calls["forward"]) == cached, mode
-        assert len(calls["input_vjp"]) == cached, mode
-        for keep, dtype in calls["forward"]:
-            assert dtype == (np.float64 if keep else np.float32), mode
+        forwards = [e for e in events if e[0] == "forward"]
+        assert len(forwards) == config.n_steps, mode
+        for _, keep, weights, cache in forwards:
+            assert weights is not None and weights.dtype == np.float32, mode
+            assert (cache is None) == (not keep), mode
+        kept = [e for e in events if e[0] == "forward" and e[1]]
+        assert len(kept) == (guided if mode == "exact_chain" else 0), mode
+        for i, (_, keep, _, cache) in enumerate(events):
+            if keep:
+                # the VJP follows its own step's forward and reads its cache
+                assert events[i + 1][0] == "input_vjp" and events[i + 1][3] is cache
+                assert cache[-1] is events[i][2], mode
+        assert sum(kind == "input_vjp" for kind, *_ in events) == len(kept), mode
 
 
 def test_chain_reads_in_place_weight_updates(tiny_bundle):
     # Adam updates params in place; the chain's float32 weights are cast per
-    # chain, so the next generate must see the update
+    # chain, so the next generate must see the update, both on the cache-free
+    # steps and on the guided exact steps
     dec, lat = tiny_bundle.decoder, tiny_bundle.latent
-    config = SamplerConfig(n_steps=8, alpha=0.0, constraint_mode="off", seed=4)
-
-    def sample(d, l):
-        return generate(d, SCHEDULE, config, 2, 10, latent_field=l)[0][1].points
-
-    before = sample(dec, lat)
     gen = np.random.default_rng(8)
-    for net in (dec, lat):
-        net.params -= 0.05 * gen.standard_normal(net.n_params)
-    after = sample(dec, lat)
-    fresh = sample(MlpScoreNet(dec.latent_dim, width=dec.width, n_blocks=dec.n_blocks,
-                               temb_dim=dec.temb_dim, params=dec.params),
-                   LatentScoreNet(lat.latent_dim, width=lat.width, n_blocks=lat.n_blocks,
-                                  temb_dim=lat.temb_dim, params=lat.params))
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, fresh)
+    for config in (SamplerConfig(n_steps=8, alpha=0.0, constraint_mode="off", seed=4),
+                   SamplerConfig(n_steps=8, alpha=0.05, knn_k=4, t_constraint=0.6,
+                                 constraint_mode="exact_chain", seed=4)):
+
+        def sample(d, l):
+            return generate(d, SCHEDULE, config, 2, 10, latent_field=l)[0][1].points
+
+        before = sample(dec, lat)
+        for net in (dec, lat):
+            net.params -= 0.05 * gen.standard_normal(net.n_params)
+        after = sample(dec, lat)
+        fresh = sample(MlpScoreNet(dec.latent_dim, width=dec.width, n_blocks=dec.n_blocks,
+                                   temb_dim=dec.temb_dim, params=dec.params),
+                       LatentScoreNet(lat.latent_dim, width=lat.width, n_blocks=lat.n_blocks,
+                                      temb_dim=lat.temb_dim, params=lat.params))
+        assert not np.array_equal(after, before), config.constraint_mode
+        assert np.array_equal(after, fresh), config.constraint_mode
 
 
 def test_frozen_two_point_hand_case():

@@ -260,15 +260,27 @@ def test_evaluate_runs_the_cache_free_forward(desk_nets, n, t):
 @pytest.mark.parametrize("t", [EPS_T, 0.3, 1.0])
 @pytest.mark.parametrize("n", [256, 2048])
 def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
-    # the chain's float32 pass against the float64 evaluate it stands in for
+    # the chain's float32 passes against the float64 evaluate and input_vjp
+    # they stand in for: keep=False on every step, and keep=True with the
+    # VJP on its cache on guided exact steps
     dec, lat = desk_nets
     gen = np.random.default_rng(n)
     xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
-    for net, args in ((dec, (xt, z, t)), (lat, (zt, None, t))):
-        want = net.evaluate(*args)
-        got = net.step_scorer()(*args)
+    v, u = gen.standard_normal((n, 3)), gen.standard_normal(64)
+
+    def assert_close(got, want):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    for net, args, up in ((dec, (xt, z, t), v), (lat, (zt, None, t), u)):
+        want = net.evaluate(*args)
+        got, cache = net.step_scorer()(*args)
+        assert cache is None
+        assert_close(got, want)
+        got, cache = net.step_scorer()(*args, keep=True)
+        assert cache[-1].dtype == np.float32
+        assert_close(got, want)
+        assert_close(net.input_vjp(*args, up, cache=cache), net.input_vjp(*args, up))
 
 
 def test_silu_sigmoid_matches_expit():
