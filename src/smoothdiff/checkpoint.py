@@ -9,66 +9,51 @@ Layout (all integers little-endian):
     3 parameter blocks, in order encoder / decoder / latent:
         u64 count, then count float64 values
 
-Header entries are utf-8 strings and fully determine the architecture and
-diffusion schedule, so loading never needs side information. Unknown header
-keys are preserved and returned, which leaves room for additions without a
-version bump.
+Header entries are utf-8 strings. The writer's keys are the ModelConfig
+fields in declaration order, then the DiffusionSchedule fields beta_min and
+beta_max, then trained_epochs; reordering ModelConfig's fields therefore
+changes the file. They fully determine the architecture and diffusion
+schedule, so loading never needs side information. Unknown header keys are
+preserved and returned, which leaves room for additions without a version
+bump.
 """
 
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InvalidParameterError
 from .pointio import _atomic_open
-from .score_models import LatentScoreNet, MlpScoreNet, PointEncoder, ModelBundle
+from .score_models import ModelConfig, build_models
 from .sde import DiffusionSchedule
 
 MAGIC = b"SDPC"
 VERSION = 1
 
-_INT_KEYS = (
-    "latent_dim",
-    "encoder_width",
-    "decoder_width",
-    "decoder_blocks",
-    "temb_dim",
-    "latent_width",
-    "latent_blocks",
-    "trained_epochs",
-)
-_FLOAT_KEYS = ("beta_min", "beta_max")
+# (key, type) of every header entry the writer emits, in its order.
+_TYPED_KEYS = [(f.name, f.type) for cls in (ModelConfig, DiffusionSchedule)
+               for f in fields(cls)] + [("trained_epochs", int)]
 
 
-def save_checkpoint(path, bundle, schedule, trained_epochs=0, extra=None):
-    """Write the bundle, schedule, and epoch counter to path, atomically."""
-    header = {
-        "latent_dim": str(bundle.latent_dim),
-        "encoder_width": str(bundle.encoder.feature_width),
-        "decoder_width": str(bundle.decoder.width),
-        "decoder_blocks": str(bundle.decoder.n_blocks),
-        "temb_dim": str(bundle.decoder.temb_dim),
-        "latent_width": str(bundle.latent.width),
-        "latent_blocks": str(bundle.latent.n_blocks),
-        "beta_min": repr(schedule.beta_min),
-        "beta_max": repr(schedule.beta_max),
-        "trained_epochs": str(int(trained_epochs)),
-    }
-    if extra:
-        for key, value in extra.items():
-            header[str(key)] = str(value)
+def save_checkpoint(path, bundle, schedule, trained_epochs=0):
+    """Write the bundle, schedule, and epoch counter to path, atomically.
 
-    chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(header))]
-    for key, value in header.items():
-        kb, vb = key.encode("utf-8"), value.encode("utf-8")
-        chunks.append(struct.pack("<I", len(kb)) + kb)
-        chunks.append(struct.pack("<I", len(vb)) + vb)
-    for params in (bundle.encoder.params, bundle.decoder.params, bundle.latent.params):
-        arr = np.ascontiguousarray(params, dtype="<f8")
-        chunks.append(struct.pack("<Q", arr.size))
-        chunks.append(arr.tobytes())
+    Each parameter block is written straight from its array, so saving holds
+    no copy of the parameters.
+    """
+    header = {**asdict(bundle.config), **asdict(schedule),
+              "trained_epochs": int(trained_epochs)}
     with _atomic_open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(header)))
+        for key, value in header.items():
+            for text in (key, str(value)):
+                raw = text.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)) + raw)
+        for params in (bundle.encoder.params, bundle.decoder.params, bundle.latent.params):
+            arr = np.ascontiguousarray(params, dtype="<f8")
+            fh.write(struct.pack("<Q", arr.size))
+            fh.write(arr)
 
 
 class _Reader:
@@ -101,8 +86,9 @@ class _Reader:
 def load_checkpoint(path):
     """Read a checkpoint; returns (bundle, schedule, header dict).
 
-    The returned header has typed values for the known keys (architecture
-    ints, schedule floats, trained_epochs) and strings for anything else.
+    The returned header has typed values for the keys the writer emits
+    (architecture ints, schedule floats, trained_epochs) and strings for
+    anything else.
     """
     try:
         with open(path, "rb") as fh:
@@ -120,20 +106,13 @@ def load_checkpoint(path):
         key = reader.string()
         header[key] = reader.string()
 
-    for key in _INT_KEYS:
+    for key, kind in _TYPED_KEYS:
         if key not in header:
             raise DataError(f"{path}: missing header entry {key!r}")
         try:
-            header[key] = int(header[key])
+            header[key] = kind(header[key])
         except ValueError as exc:
-            raise DataError(f"{path}: header entry {key!r} is not an integer") from exc
-    for key in _FLOAT_KEYS:
-        if key not in header:
-            raise DataError(f"{path}: missing header entry {key!r}")
-        try:
-            header[key] = float(header[key])
-        except ValueError as exc:
-            raise DataError(f"{path}: header entry {key!r} is not a number") from exc
+            raise DataError(f"{path}: header entry {key!r} is not a valid {kind.__name__}") from exc
 
     blocks = []
     for _ in range(3):
@@ -144,30 +123,15 @@ def load_checkpoint(path):
     if reader.off != len(reader.blob):
         raise DataError(f"{path}: trailing bytes after parameter blocks")
 
+    def read(cls):
+        return cls(**{f.name: header[f.name] for f in fields(cls)})
+
     try:
-        encoder = PointEncoder(
-            header["latent_dim"],
-            feature_width=header["encoder_width"],
-            params=blocks[0],
-        )
-        decoder = MlpScoreNet(
-            header["latent_dim"],
-            width=header["decoder_width"],
-            n_blocks=header["decoder_blocks"],
-            temb_dim=header["temb_dim"],
-            params=blocks[1],
-        )
-        latent = LatentScoreNet(
-            header["latent_dim"],
-            width=header["latent_width"],
-            n_blocks=header["latent_blocks"],
-            temb_dim=header["temb_dim"],
-            params=blocks[2],
-        )
+        schedule = read(DiffusionSchedule)
+    except InvalidParameterError as exc:
+        raise DataError(f"{path}: bad diffusion schedule: {exc}") from exc
+    try:
+        bundle = build_models(read(ModelConfig), params=blocks)
     except Exception as exc:
         raise DataError(f"{path}: parameter blocks do not fit the header: {exc}") from exc
-    bundle = ModelBundle(encoder=encoder, decoder=decoder, latent=latent)
-    schedule = DiffusionSchedule(
-        beta_min=header["beta_min"], beta_max=header["beta_max"]
-    )
     return bundle, schedule, header

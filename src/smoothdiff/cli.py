@@ -65,19 +65,27 @@ def _resolve_out(args_out, cfg, command):
     return os.path.join(_output_root(), command)
 
 
-def _versions():
-    return {
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "smoothdiff": __version__,
-    }
+def _out_file(args_out, cfg, command, name):
+    """--out, or <root>/<command>/<name>; creates the file's directory."""
+    path = args_out or os.path.join(_resolve_out(None, cfg, command), name)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return path
 
 
-def _config_hash(cfg):
-    return hashlib.sha256(dump_run_config(cfg).encode("utf-8")).hexdigest()
-
-
-def _write_manifest(directory, payload):
+def _write_manifest(directory, command, cfg, payload):
+    """manifest.json: payload plus the command, the config hash and the versions."""
+    payload = dict(
+        payload,
+        command=command,
+        config_sha256=hashlib.sha256(dump_run_config(cfg).encode("utf-8")).hexdigest(),
+        versions={
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "smoothdiff": __version__,
+        },
+    )
     with _atomic_open(os.path.join(directory, "manifest.json")) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -96,33 +104,31 @@ def cmd_synth(args, cfg):
         write_xyz(os.path.join(out, name), generate_shape(spec))
         names.append(name)
     sizes = ("extent", "height", "major_radius", "minor_radius", "radius", "turns")
-    _write_manifest(out, {
+    _write_manifest(out, "synth", cfg, {
         "base_seed": cfg.seed,
-        "command": "synth",
-        "config_sha256": _config_hash(cfg),
         "count": count,
         "files": names,
         "kind": cfg.shape_kind,
         "noise_std": cfg.shape_noise_std,
         "points": cfg.shape_n_points,
         "shape_params": {name: getattr(cfg, "shape_" + name) for name in sizes},
-        "versions": _versions(),
     })
     print(f"wrote {count} {cfg.shape_kind} clouds ({cfg.shape_n_points} points each) "
           f"to {out}")
     return 0
 
 
-def _check_resume_config(cfg, header):
+def _check_resume_config(cfg, bundle, schedule):
     """Raise ConfigError naming each model or schedule key the checkpoint differs in."""
     conflicts = []
-    for cls in (ModelConfig, DiffusionSchedule):
+    for stored in (bundle.config, schedule):
+        cls = type(stored)
         wanted = stage_config(cls, cfg)
         for f in dataclasses.fields(cls):
-            value = getattr(wanted, f.name)
-            if value != header[f.name]:
+            value, kept = getattr(wanted, f.name), getattr(stored, f.name)
+            if value != kept:
                 conflicts.append(f"{STAGE_PREFIXES[cls]}{f.name} = {value!r} "
-                                 f"(checkpoint: {header[f.name]!r})")
+                                 f"(checkpoint: {kept!r})")
     if conflicts:
         raise ConfigError("resume config conflicts with the checkpoint: "
                           + "; ".join(conflicts))
@@ -139,7 +145,7 @@ def cmd_train(args, cfg):
     train_cfg = stage_config(TrainConfig, cfg, seed=cfg.seed)
     if args.resume:
         bundle, schedule, header = load_checkpoint(args.resume)
-        _check_resume_config(cfg, header)
+        _check_resume_config(cfg, bundle, schedule)
         start_epoch = header["trained_epochs"]
         if start_epoch >= epochs:
             raise ConfigError(
@@ -159,15 +165,12 @@ def cmd_train(args, cfg):
     )
     ckpt_path = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt_path, bundle, schedule, trained_epochs=epochs)
-    _write_manifest(out, {
-        "command": "train",
-        "config_sha256": _config_hash(cfg),
+    _write_manifest(out, "train", cfg, {
         "data_dir": cfg.data_dir,
         "epochs": epochs,
         "n_clouds": len(dataset),
         "seed": cfg.seed,
         "start_epoch": start_epoch,
-        "versions": _versions(),
     })
     last = reports[-1]
     print(
@@ -202,11 +205,9 @@ def cmd_sample(args, cfg):
     if trajectories is not None:
         for i, traj in enumerate(trajectories):
             traj.write_csv(os.path.join(out, f"trajectory_{i:04d}.csv"))
-    _write_manifest(out, {
+    _write_manifest(out, "sample", cfg, {
         "alpha": sampler_cfg.alpha,
         "checkpoint_trained_epochs": header["trained_epochs"],
-        "command": "sample",
-        "config_sha256": _config_hash(cfg),
         "constraint_mode": sampler_cfg.constraint_mode,
         "files": names,
         "knn_k": sampler_cfg.knn_k,
@@ -215,7 +216,6 @@ def cmd_sample(args, cfg):
         "n_steps": sampler_cfg.n_steps,
         "seed": cfg.seed,
         "t_constraint": sampler_cfg.t_constraint,
-        "versions": _versions(),
     })
     print(f"wrote {count} sampled clouds to {out}")
     return 0
@@ -225,14 +225,7 @@ def cmd_eval(args, cfg):
     reference = read_cloud_dir(args.reference)
     generated = read_cloud_dir(args.generated)
     report = evaluate_sets(reference, generated, knn_k=cfg.eval_knn_k)
-    if args.out:
-        out_path = args.out
-        parent = os.path.dirname(out_path)
-    else:
-        parent = _resolve_out(None, cfg, "eval")
-        out_path = os.path.join(parent, "metrics.csv")
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    out_path = _out_file(args.out, cfg, "eval", "metrics.csv")
     write_metrics_csv(out_path, report)
     for name in ("mmd", "cov", "one_nna", "rs", "gt_smoothness", "model_smoothness"):
         print(f"{name}={getattr(report, name)!r}")
@@ -280,14 +273,7 @@ def cmd_sweep_k(args, cfg):
     # earlier sweep.csv as it was.
     means = [run(alpha=alpha, knn_k=k, constraint_mode=args.mode) for k in k_values]
 
-    if args.out:
-        out_path = args.out
-        parent = os.path.dirname(out_path)
-    else:
-        parent = _resolve_out(None, cfg, "sweep-k")
-        out_path = os.path.join(parent, "sweep.csv")
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    out_path = _out_file(args.out, cfg, "sweep-k", "sweep.csv")
     with _atomic_open(out_path) as fh:
         fh.write("k,mean_smoothness,rs,baseline_smoothness\n")
         for k, mean_s in zip(k_values, means):

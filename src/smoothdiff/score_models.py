@@ -603,13 +603,17 @@ class LatentScoreNet(_ResidualMlp):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters for the three networks."""
+    """Architecture hyperparameters for the three networks.
+
+    The checkpoint header lists these fields in declaration order, so
+    reordering them changes the file.
+    """
 
     latent_dim: int = 64
+    encoder_width: int = 256
     decoder_width: int = 256
     decoder_blocks: int = 6
     temb_dim: int = 64
-    encoder_width: int = 256
     latent_width: int = 128
     latent_blocks: int = 3
 
@@ -626,18 +630,42 @@ class ModelBundle:
         dims = {self.encoder.latent_dim, self.decoder.latent_dim, self.latent.latent_dim}
         if len(dims) != 1:
             raise InvalidInputError(f"inconsistent latent dimensions: {dims}")
+        if self.decoder.temb_dim != self.latent.temb_dim:
+            raise InvalidInputError(
+                f"inconsistent time embedding dimensions: decoder "
+                f"{self.decoder.temb_dim}, latent net {self.latent.temb_dim}"
+            )
 
     @property
     def latent_dim(self):
         return self.encoder.latent_dim
 
+    @property
+    def config(self):
+        """The ModelConfig of these nets' architecture."""
+        return ModelConfig(
+            latent_dim=self.latent_dim,
+            encoder_width=self.encoder.feature_width,
+            decoder_width=self.decoder.width,
+            decoder_blocks=self.decoder.n_blocks,
+            temb_dim=self.decoder.temb_dim,
+            latent_width=self.latent.width,
+            latent_blocks=self.latent.n_blocks,
+        )
 
-def build_models(config, seed=0):
-    """Construct a freshly initialized ModelBundle from a ModelConfig."""
+
+def build_models(config, seed=0, params=None):
+    """The ModelBundle of a ModelConfig.
+
+    Given params, an (encoder, decoder, latent) triple of flat vectors, the
+    nets copy them; otherwise they are drawn fresh from seed.
+    """
+    enc, dec, lat = (None, None, None) if params is None else params
     seqs = np.random.SeedSequence(seed).spawn(3)
     encoder = PointEncoder(
         config.latent_dim,
         feature_width=config.encoder_width,
+        params=enc,
         rng=np.random.default_rng(seqs[0]),
     )
     decoder = MlpScoreNet(
@@ -645,6 +673,7 @@ def build_models(config, seed=0):
         width=config.decoder_width,
         n_blocks=config.decoder_blocks,
         temb_dim=config.temb_dim,
+        params=dec,
         rng=np.random.default_rng(seqs[1]),
     )
     latent = LatentScoreNet(
@@ -652,6 +681,7 @@ def build_models(config, seed=0):
         width=config.latent_width,
         n_blocks=config.latent_blocks,
         temb_dim=config.temb_dim,
+        params=lat,
         rng=np.random.default_rng(seqs[2]),
     )
     return ModelBundle(encoder=encoder, decoder=decoder, latent=latent)

@@ -24,6 +24,11 @@ class DiffusionSchedule:
     beta_max: float = 20.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.beta_min) and np.isfinite(self.beta_max)):
+            raise InvalidParameterError(
+                f"beta_min and beta_max must be finite, got {self.beta_min!r} "
+                f"and {self.beta_max!r}"
+            )
         if self.beta_min <= 0:
             raise InvalidParameterError("beta_min must be > 0")
         if self.beta_max < self.beta_min:

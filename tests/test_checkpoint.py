@@ -1,6 +1,8 @@
 """Binary checkpoint round trips and malformed-file rejection."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from smoothdiff import (
     DataError,
     DiffusionSchedule,
+    ModelConfig,
     build_models,
     load_checkpoint,
     save_checkpoint,
@@ -28,7 +31,7 @@ def bundle(tiny_model_config):
 def test_round_trip_bitwise(bundle, tmp_path):
     schedule = DiffusionSchedule(beta_min=0.2, beta_max=15.0)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, bundle, schedule, trained_epochs=42, extra={"note": "hi"})
+    save_checkpoint(path, bundle, schedule, trained_epochs=42)
 
     loaded, sched, header = load_checkpoint(path)
     assert np.array_equal(loaded.encoder.params, bundle.encoder.params)
@@ -41,7 +44,7 @@ def test_round_trip_bitwise(bundle, tmp_path):
     assert sched.beta_min == 0.2 and sched.beta_max == 15.0
     assert header["trained_epochs"] == 42
     assert header["latent_dim"] == 6
-    assert header["note"] == "hi"
+    assert loaded.config == bundle.config
 
     # the reconstructed nets evaluate identically
     rng = np.random.default_rng(0)
@@ -50,6 +53,77 @@ def test_round_trip_bitwise(bundle, tmp_path):
     assert np.array_equal(
         loaded.decoder.evaluate(xt, z, 0.5), bundle.decoder.evaluate(xt, z, 0.5)
     )
+
+
+def _read_entries(blob):
+    """(header entries in file order, offset after them), read with struct alone."""
+    assert blob[:4] == b"SDPC"
+    version, npairs = struct.unpack_from("<II", blob, 4)
+    assert version == 1
+    off, entries = 12, []
+    for _ in range(npairs):
+        pair = []
+        for _ in range(2):
+            (n,) = struct.unpack_from("<I", blob, off)
+            pair.append(blob[off + 4 : off + 4 + n].decode("utf-8"))
+            off += 4 + n
+        entries.append(tuple(pair))
+    return entries, off
+
+
+def test_format_pinned(tiny_model_config, tmp_path):
+    # a fixed bundle with exactly representable parameters, read back
+    # without load_checkpoint
+    bundle = build_models(tiny_model_config)
+    nets = (bundle.encoder, bundle.decoder, bundle.latent)
+    for i, net in enumerate(nets):
+        net.params[:] = (np.arange(net.params.size) % 97 - 48 + i) / 64.0
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, bundle, DiffusionSchedule(beta_min=0.2, beta_max=15.0),
+                    trained_epochs=42)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "3c0090f2b585100114932b7082b001d50fc116ccad6d0fd5317794682cae549c"
+    )
+
+    entries, header_end = _read_entries(blob)
+    assert entries == [
+        ("latent_dim", "6"), ("encoder_width", "16"), ("decoder_width", "16"),
+        ("decoder_blocks", "2"), ("temb_dim", "8"), ("latent_width", "16"),
+        ("latent_blocks", "2"), ("beta_min", "0.2"), ("beta_max", "15.0"),
+        ("trained_epochs", "42"),
+    ]
+    off = header_end
+    for net in nets:
+        (count,) = struct.unpack_from("<Q", blob, off)
+        assert count == net.params.size
+        block = np.frombuffer(blob, dtype="<f8", count=count, offset=off + 8)
+        assert np.array_equal(block, net.params)
+        off += 8 + 8 * count
+    assert off == len(blob)
+
+    # an unknown entry, added after the known ones, is kept as a string
+    note = b"".join(struct.pack("<I", len(text)) + text for text in (b"note", b"hi"))
+    injected = (blob[:8] + struct.pack("<I", len(entries) + 1) + blob[12:header_end]
+                + note + blob[header_end:])
+    path.write_bytes(injected)
+    loaded, _, header = load_checkpoint(path)
+    assert header["note"] == "hi"
+    assert header["trained_epochs"] == 42
+    for net, want in zip((loaded.encoder, loaded.decoder, loaded.latent), nets):
+        assert np.array_equal(net.params, want.params)
+
+
+def test_save_holds_no_parameter_copy(tmp_path):
+    bundle = build_models(ModelConfig(), seed=0)
+    smallest = min(net.params.nbytes for net in (bundle.encoder, bundle.decoder, bundle.latent))
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "m.ckpt", bundle, DiffusionSchedule())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < smallest
 
 
 def test_header_values_typed(bundle, tmp_path):

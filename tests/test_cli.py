@@ -172,6 +172,16 @@ def test_train_resume_rejects_a_different_architecture(pipeline, tmp_path, capsy
     assert {name: (out / name).read_bytes() for name in kept} == kept
 
 
+def test_train_rejects_non_finite_beta(pipeline, tmp_path):
+    # a NaN schedule is a config error before training, not a NaN loss after it
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(TINY_CFG + "beta_max = nan\n")
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(bad), "--data", pipeline["synth"],
+                 "--out", str(out)]) == 2
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_requires_data():
     assert main(["train", "--out", "/tmp/unused-train-out"]) == 2
 
@@ -273,6 +283,18 @@ def test_sample_t_constraint_window(pipeline, tmp_path):
 def test_sample_missing_checkpoint(pipeline, tmp_path):
     assert main(["sample", "--checkpoint", str(tmp_path / "no.ckpt"),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_sample_rejects_checkpoint_with_invalid_schedule(pipeline, tmp_path, capsys):
+    blob = open(pipeline["ckpt"], "rb").read()
+    entry = b"beta_min\x03\x00\x00\x000.1"
+    assert blob.count(entry) == 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(entry, b"beta_min\x03\x00\x00\x000.0"))
+    capsys.readouterr()
+    assert main(["sample", "--config", pipeline["cfg"], "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "beta_min must be > 0" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -407,7 +429,7 @@ def _artifact_writers(pipeline, out):
     return {
         "xyz": (out / "cloud.xyz", lambda: write_xyz(out / "cloud.xyz", np.ones((4, 3)))),
         "manifest": (out / "manifest.json",
-                     lambda: cli._write_manifest(str(out), {"command": "synth"})),
+                     lambda: cli._write_manifest(str(out), "synth", RunConfig(), {})),
         "metrics": (out / "metrics.csv", lambda: main(metrics_argv)),
         "sweep": (out / "sweep.csv", lambda: main(sweep_argv)),
         "trajectory": (out / "trajectory_0000.csv",

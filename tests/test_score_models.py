@@ -461,6 +461,16 @@ def test_build_models_deterministic_and_consistent(tiny_model_config):
     assert np.array_equal(b1.latent.params, b2.latent.params)
     b3 = build_models(tiny_model_config, seed=6)
     assert not np.array_equal(b1.decoder.params, b3.decoder.params)
+    assert b1.config == tiny_model_config
+
+
+def test_build_models_copies_given_params(tiny_model_config):
+    fresh = build_models(tiny_model_config, seed=5)
+    given = [net.params + 1.0 for net in (fresh.encoder, fresh.decoder, fresh.latent)]
+    bundle = build_models(tiny_model_config, params=given)
+    for net, want in zip((bundle.encoder, bundle.decoder, bundle.latent), given):
+        assert np.array_equal(net.params, want)
+        assert net.params is not want
 
 
 def test_bundle_rejects_mismatched_latent_dims():
@@ -468,6 +478,16 @@ def test_bundle_rejects_mismatched_latent_dims():
     dec = MlpScoreNet(latent_dim=4, width=8, n_blocks=1, temb_dim=4, rng=np.random.default_rng(1))
     lat = LatentScoreNet(latent_dim=5, width=8, n_blocks=1, temb_dim=4, rng=np.random.default_rng(2))
     with pytest.raises(InvalidInputError):
+        ModelBundle(encoder=enc, decoder=dec, latent=lat)
+
+
+def test_bundle_rejects_mismatched_time_embeddings():
+    # bundle.config has one temb_dim, so a bundle whose score nets differ in
+    # it could be saved but not loaded
+    enc = PointEncoder(latent_dim=4, feature_width=8)
+    dec = MlpScoreNet(latent_dim=4, width=8, n_blocks=1, temb_dim=4)
+    lat = LatentScoreNet(latent_dim=4, width=8, n_blocks=1, temb_dim=6)
+    with pytest.raises(InvalidInputError, match="time embedding"):
         ModelBundle(encoder=enc, decoder=dec, latent=lat)
 
 
