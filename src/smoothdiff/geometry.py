@@ -72,7 +72,7 @@ class KnnGraph:
     def __post_init__(self):
         for name in ("neighbor_lists", "edge_set"):
             arr = getattr(self, name)
-            arr = np.asarray(arr, dtype=np.int64)
+            arr = np.array(arr, dtype=np.int64)  # a copy: the caller's array stays theirs
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -4,7 +4,7 @@ One point per line: three decimal floats separated by single spaces, "\n"
 line endings, no header. The reader additionally accepts scientific notation
 and CRLF line endings.
 
-Every file the package writes whole (clouds, checkpoints, manifests,
+Every file the package writes (clouds, checkpoints, manifests, loss tables,
 metrics, sweeps and trajectories) goes through _atomic_open, so a failed or
 interrupted write never leaves a half-written file in place of the old one.
 """

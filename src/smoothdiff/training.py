@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalAbortError
 from .geometry import PointCloud
+from .pointio import _atomic_open
 from .score_models import reparameterize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -230,16 +231,24 @@ def make_optimizers(bundle, config):
     }
 
 
-def _write_loss_rows(path, reports, append):
-    header = not append or not os.path.exists(path)
-    with open(path, "a" if append else "w", newline="") as fh:
+def _write_loss_row(path, report):
+    """Rewrite the loss table at path whole: its rows before report's epoch, then report's row.
+
+    So a resume from an older checkpoint replaces the rows of the epochs it
+    redoes. Rows whose first field is not an epoch number, the header among
+    them, are dropped; the header is written anew.
+    """
+    kept = []
+    if report.epoch > 0 and os.path.exists(path):
+        with open(path, newline="") as fh:
+            kept = [row for row in csv.reader(fh)
+                    if row and row[0].isdigit() and int(row[0]) < report.epoch]
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["epoch", "recon", "latent", "entropy", "total"])
-        for r in reports:
-            writer.writerow(
-                [r.epoch, repr(r.recon), repr(r.latent), repr(r.entropy), repr(r.total)]
-            )
+        writer.writerow(["epoch", "recon", "latent", "entropy", "total"])
+        writer.writerows(kept)
+        writer.writerow([report.epoch, repr(report.recon), repr(report.latent),
+                         repr(report.entropy), repr(report.total)])
 
 
 def train(bundle, dataset, schedule, config, loss_path=None, start_epoch=0,
@@ -249,9 +258,9 @@ def train(bundle, dataset, schedule, config, loss_path=None, start_epoch=0,
     Each epoch reshuffles the dataset under a per-epoch generator derived
     from (config.seed, epoch), so resuming at an epoch boundary replays the
     exact noise stream a fresh run would have used (optimizer moments do
-    restart from zero on resume). Loss rows are appended to
-    loss_path when start_epoch > 0, otherwise the file is rewritten with a
-    header. Returns the list of per-epoch LossReports produced by this call.
+    restart from zero on resume). After each epoch loss_path is rewritten
+    whole with the rows of the epochs before it and that epoch's row.
+    Returns the list of per-epoch LossReports produced by this call.
     """
     if len(dataset) < 2:
         raise InvalidInputError("training needs at least two clouds")
@@ -285,7 +294,7 @@ def train(bundle, dataset, schedule, config, loss_path=None, start_epoch=0,
         )
         reports.append(report)
         if loss_path is not None:
-            _write_loss_rows(loss_path, [report], append=(epoch > 0))
+            _write_loss_row(loss_path, report)
         if log_every and (epoch % log_every == 0 or epoch == config.epochs - 1):
             print(
                 f"epoch {epoch}: recon={report.recon:.4f} latent={report.latent:.4f} "

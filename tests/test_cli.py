@@ -25,6 +25,7 @@ from smoothdiff import (
 from smoothdiff.cli import build_parser, main
 from smoothdiff.pointio import write_xyz
 from smoothdiff.sampler import Trajectory
+from smoothdiff.training import LossReport, _write_loss_row
 
 from conftest import tear_writes
 
@@ -151,6 +152,22 @@ def test_train_resume_continues_loss_csv(pipeline, tmp_path):
     assert main(["train", "--config", pipeline["cfg"], "--data", pipeline["synth"],
                  "--out", str(out), "--resume", str(out / "model.ckpt"),
                  "--epochs", "5"]) == 2
+
+
+def test_resume_from_older_checkpoint_keeps_one_row_per_epoch(pipeline, tmp_path):
+    # resuming from epoch 2 into a directory whose loss.csv already runs to
+    # epoch 3 replaces rows 2 and 3 instead of appending them again
+    out = tmp_path / "r"
+    argv = ["train", "--config", pipeline["cfg"], "--data", pipeline["synth"], "--out", str(out)]
+    assert main(argv + ["--epochs", "2"]) == 0
+    older = tmp_path / "epoch2.ckpt"
+    older.write_bytes((out / "model.ckpt").read_bytes())
+    assert main(argv + ["--resume", str(older), "--epochs", "4"]) == 0
+    first = (out / "loss.csv").read_bytes()
+    assert main(argv + ["--resume", str(older), "--epochs", "4"]) == 0
+    rows = _read_csv(out / "loss.csv")
+    assert [r[0] for r in rows] == ["epoch", "0", "1", "2", "3"]
+    assert (out / "loss.csv").read_bytes() == first
 
 
 def test_train_resume_rejects_a_different_architecture(pipeline, tmp_path, capsys):
@@ -426,6 +443,7 @@ def _artifact_writers(pipeline, out):
                   "--points", "20", "--steps", "4", "--alpha", "1e-4"]
     traj = Trajectory(step=np.arange(3), t=np.array([1.0, 0.5, 0.01]),
                       smoothness=np.array([3.0, 2.0, 1.0]))
+    loss = LossReport(epoch=1, recon=2.0, latent=1.0, entropy=0.5)
     return {
         "xyz": (out / "cloud.xyz", lambda: write_xyz(out / "cloud.xyz", np.ones((4, 3)))),
         "manifest": (out / "manifest.json",
@@ -434,10 +452,12 @@ def _artifact_writers(pipeline, out):
         "sweep": (out / "sweep.csv", lambda: main(sweep_argv)),
         "trajectory": (out / "trajectory_0000.csv",
                        lambda: traj.write_csv(out / "trajectory_0000.csv")),
+        "loss": (out / "loss.csv", lambda: _write_loss_row(out / "loss.csv", loss)),
     }
 
 
-@pytest.mark.parametrize("artifact", ["xyz", "manifest", "metrics", "sweep", "trajectory"])
+@pytest.mark.parametrize("artifact", ["xyz", "manifest", "metrics", "sweep", "trajectory",
+                                      "loss"])
 def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, artifact):
     # a write that fails halfway (ENOSPC) leaves the previous file whole and
     # no temp file beside it, as for the checkpoint

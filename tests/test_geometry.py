@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from smoothdiff import (
     InvalidInputError,
     InvalidParameterError,
+    KnnGraph,
     LaplacianMatrix,
     PointCloud,
     ShapeSpec,
@@ -137,6 +138,18 @@ def test_knn_graph_parameter_bounds(rng):
         build_knn_graph(pts, 10)
     with pytest.raises(InvalidInputError):
         build_knn_graph(pts[:1], 1)
+
+
+def test_knn_graph_copies_its_arrays():
+    # the graph freezes its own copies; the caller's arrays stay writeable and unshared
+    lists = np.array([[1], [0], [1]], dtype=np.int64)
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    graph = KnnGraph(k=1, n_nodes=3, neighbor_lists=lists, edge_set=edges)
+    assert lists.flags.writeable and edges.flags.writeable
+    assert not graph.neighbor_lists.flags.writeable and not graph.edge_set.flags.writeable
+    lists[0, 0] = 2
+    edges[0, 0] = 2
+    assert graph.neighbor_lists[0, 0] == 1 and graph.edge_set[0, 0] == 0
 
 
 # ------------------------------------------------------------- laplacian
