@@ -24,12 +24,20 @@ SHAPE_KINDS = ("sphere", "torus", "plane_grid", "helix")
 
 
 def _as_points(cloud):
-    """Accept a PointCloud or a raw (N, 3) array; return the array."""
+    """A PointCloud's points, or a raw array checked by the PointCloud rules.
+
+    The rules: shape (N, 3) with N >= 1 and every coordinate finite. A
+    float64 array passes through without a copy.
+    """
     if isinstance(cloud, PointCloud):
         return cloud.points
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidInputError(f"expected an (N, 3) point array, got shape {pts.shape}")
+        raise InvalidInputError(f"points must be (N, 3), got shape {pts.shape}")
+    if pts.shape[0] < 1:
+        raise InvalidInputError("point cloud must contain at least one point")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("point coordinates must be finite")
     return pts
 
 
@@ -40,13 +48,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InvalidInputError(f"points must be (N, 3), got shape {pts.shape}")
-        if pts.shape[0] < 1:
-            raise InvalidInputError("point cloud must contain at least one point")
-        if not np.isfinite(pts).all():
-            raise InvalidInputError("point coordinates must be finite")
+        pts = np.array(_as_points(self.points))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -167,8 +169,6 @@ def build_knn_graph(cloud, k):
     """
     pts = _as_points(cloud)
     n = pts.shape[0]
-    if not np.isfinite(pts).all():
-        raise InvalidInputError("point coordinates must be finite")
     if n < 2:
         raise InvalidInputError("graph construction needs at least 2 points")
     if not (1 <= int(k) <= n - 1):

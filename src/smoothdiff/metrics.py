@@ -17,21 +17,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import PointCloud, build_knn_graph, build_laplacian
+from .geometry import _as_points, build_knn_graph, build_laplacian
 from .geometry import smoothness as graph_smoothness
 from .pointio import _atomic_open
 
 
-def _points(cloud):
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise InvalidInputError(f"expected a nonempty (N, 3) cloud, got {pts.shape}")
-    return np.ascontiguousarray(pts)
-
-
 def chamfer(p, q):
     """Symmetric squared-distance Chamfer discrepancy between two clouds."""
-    return _kernels.chamfer(_points(p), _points(q))
+    return _kernels.chamfer(_as_points(p), _as_points(q))
 
 
 def _check_sets(reference, generated):
@@ -45,7 +38,7 @@ def _pooled_distances(reference, generated):
     Each unordered pair is computed once; the diagonal is +inf so a cloud is
     never its own nearest neighbor.
     """
-    pool = [_points(c) for c in reference] + [_points(c) for c in generated]
+    pool = [_as_points(c) for c in reference] + [_as_points(c) for c in generated]
     n = len(pool)
     d = np.empty((n, n))
     np.fill_diagonal(d, np.inf)
@@ -97,7 +90,7 @@ def one_nna(reference, generated):
 def _mean_smoothness(clouds, k):
     total = 0.0
     for c in clouds:
-        pts = _points(c)
+        pts = _as_points(c)
         if pts.shape[0] < k + 1:
             raise InvalidInputError(
                 f"smoothness at k={k} needs clouds with more than {k} points"

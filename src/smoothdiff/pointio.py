@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import DataError
-from .geometry import PointCloud
+from .geometry import PointCloud, _as_points
 
 
 @contextlib.contextmanager
@@ -44,7 +44,7 @@ def _fmt(value):
 
 def write_xyz(path, cloud):
     """Write a cloud as xyz-ascii. Coordinates round-trip exactly."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    pts = _as_points(cloud)
     with _atomic_open(path) as fh:
         for x, y, z in pts:
             fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")

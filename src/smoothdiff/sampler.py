@@ -9,15 +9,10 @@ state is subtracted with strength alpha. Two chain rules are offered:
 "exact_chain" includes it through a vector-Jacobian product (fields that
 cannot differentiate themselves raise the unsupported-mode error).
 
-Every step takes its score from the field's step_scorer. For the learned
-score nets that is a float32 pass over weights cast once per chain,
-returned as float64, on every step of every mode. A guided exact step keeps
-the cache of its float32 forward, and the input VJP on that cache runs in
-float32 too and returns float64. The Tweedie estimate, the Laplacian, the
-constraint gradient, the chain state and the terminal denoise stay
-float64, and so does constraint_gradient called without a score and cache:
-it evaluates the field through its float64 public routes, which
-finite-difference checks difference at steps float32 rounding would swamp.
+Every step takes its score, and on guided exact steps the cache for the
+input VJP, from the field's step_scorer; score_models states the precision
+each route runs in. The Tweedie estimate, the Laplacian, the constraint
+gradient, the chain state and the terminal denoise are float64.
 """
 
 import csv
@@ -126,9 +121,9 @@ def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None,
 
     With Xhat = (xt + b^2 s(xt)) / a the exact chain rule gives
     (G + b^2 J_s^T G) / a where G = 2 L Xhat; "frozen_score" keeps only the
-    first term. Returns zeros for mode "off". Passing a precomputed score
-    skips one field evaluation, and passing the cache from the field's
-    evaluate_cached with it lets input_vjp skip the forward pass.
+    first term. Returns zeros for mode "off". Without a score it evaluates
+    the field; a score and its cache from the field's step_scorer skip that
+    evaluation, and input_vjp reuses the cache.
     """
     xt = np.asarray(xt, dtype=np.float64)
     if mode not in CONSTRAINT_MODES:
@@ -138,16 +133,14 @@ def constraint_gradient(xt, field, z, t, laplacian, mode, schedule, score=None,
     if mode == "off":
         return np.zeros_like(xt)
     if score is None:
-        score, cache = field.evaluate_cached(xt, z, t)
+        score = field.evaluate(xt, z, t)
     a = schedule.drift_coef(t)
     b = schedule.diffusion_std(t)
     xhat = tweedie_denoise(xt, score, t, schedule)
     g_hat = smoothness_gradient(xhat, laplacian)
     if mode == "frozen_score":
         return g_hat / a
-    # A field without a cache may implement the four-argument input_vjp only.
-    kwargs = {} if cache is None else {"cache": cache}
-    vjp = field.input_vjp(xt, z, t, g_hat, **kwargs)
+    vjp = field.input_vjp(xt, z, t, g_hat, cache=cache)
     return (g_hat + b * b * vjp) / a
 
 

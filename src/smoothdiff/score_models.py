@@ -14,29 +14,30 @@ once per call as width-long vectors. SiLU takes its sigmoid as
 embedding, code, block inputs h, sigmoids, SiLU outputs, the weight
 vector it ran on): backward reads the parameter gradients from it, and
 input_vjp reuses the one the sampler kept from its score evaluation.
-evaluate needs only the score, so it runs
-forward with keep=False: no cache, two row buffers reused across the
-blocks, and the same outputs bit for bit. The reverse chain scores every
-step with step_scorer, which runs forward on a float32 copy of the
-parameters, cast once per chain: the row arrays are float32, the
-row-constant terms are formed in float64 and then cast, and the score
-comes back as float64. A guided exact-chain step keeps that forward's
-cache, which names the float32 weights it ran on, so input_vjp on it runs
-in float32 as well and returns float64. Everything else is float64:
-evaluate, evaluate_cached, input_vjp without a cache, and backward.
-evaluate stays forward(...)[0] bit for bit, and the public exact-chain
-gradient goes through evaluate_cached and input_vjp, since
-finite-difference checks difference them at steps float32 rounding would
-swamp; backward trains on the float64 cache. The encoder's max pool reads
-one row per feature, so its cache is (pts, s1, h1, s2, h2, s3, h3) at the
-pooled rows only, at most min(N, feature_width) of them, with each
-feature's index into those rows, the pooled feature and the unclipped
-log-variance; its backward pass runs on those rows. All parameters live in
-flat float64 vectors and every network implements explicit reverse-mode
-backprop, so gradients are checkable against finite differences without a
-framework dependency. Each backward pass adds its parameter gradient into
-a caller's flat buffer when given one as out (training sums a batch that
-way), and into a fresh zero vector otherwise.
+evaluate needs only the score, so it runs forward with keep=False: no
+cache, two row buffers reused across the blocks, and the same outputs bit
+for bit.
+
+Precision. The reverse chain scores every step with step_scorer, which runs
+forward on a float32 copy of the parameters, cast once per chain: the row
+arrays are float32, the row-constant terms are formed in float64 and then
+cast, and the score comes back as float64. A guided exact-chain step keeps
+that forward's cache, which names the float32 weights it ran on, so
+input_vjp on it runs in float32 as well and returns float64. Everything
+else is float64: evaluate, input_vjp without a cache, and backward.
+Finite-difference checks difference evaluate and the exact-chain gradient
+of sampler.constraint_gradient called without a score, at steps float32
+rounding would swamp, and backward trains on the float64 cache.
+
+The encoder's max pool reads one row per feature, so its cache is (pts, s1,
+h1, s2, h2, s3, h3) at the pooled rows only, at most min(N, feature_width)
+of them, with each feature's index into those rows, the pooled feature and
+the unclipped log-variance; its backward pass runs on those rows. All
+parameters live in flat float64 vectors and every network implements
+explicit reverse-mode backprop, so gradients are checkable against finite
+differences without a framework dependency. Each backward pass adds its
+parameter gradient into a caller's flat buffer when given one as out
+(training sums a batch that way), and into a fresh zero vector otherwise.
 """
 
 import abc
@@ -125,13 +126,10 @@ def _make_params(layout, params, rng, zero_names=()):
 class ScoreField(abc.ABC):
     """Evaluation contract: (state, latent code or None, time) -> score.
 
-    Output shape equals the state shape. Fields that can differentiate their
-    output with respect to the state override input_vjp; the default raises,
-    which is how the sampler detects unsupported exact-chain guidance.
-    evaluate_cached also returns what the field's input_vjp can reuse from
-    that evaluation (None by default); input_vjp takes it as `cache`.
-    step_scorer gives the reverse chain the function it scores every step
-    with (evaluate and evaluate_cached by default).
+    Three members: evaluate, input_vjp and step_scorer. Output shape equals
+    the state shape. Fields that can differentiate their output with respect
+    to the state override input_vjp; the default raises, which is how the
+    sampler detects unsupported exact-chain guidance.
     """
 
     @abc.abstractmethod
@@ -142,28 +140,21 @@ class ScoreField(abc.ABC):
         """(xt, z, t, keep=False) -> (score, cache or None) for one reverse chain.
 
         The chain calls it on every step, with keep=True on guided
-        exact-chain steps, whose cache goes to input_vjp at the same point.
-        By default the steps run evaluate and evaluate_cached, in float64.
-        The score nets override it: every step, guided exact steps
-        included, scores in float32 on weights cast once per chain, and the
-        score and the VJP on its cache come back as float64. The public
-        evaluate, evaluate_cached and input_vjp without a cache stay
-        float64, for finite-difference checks and for training.
+        exact-chain steps, and hands the cache to input_vjp at the same
+        point. By default it returns (evaluate(xt, z, t), None).
         """
 
         def score(xt, z, t, keep=False):
-            if keep:
-                return self.evaluate_cached(xt, z, t)
             return self.evaluate(xt, z, t), None
 
         return score
 
-    def evaluate_cached(self, xt, z, t):
-        """(score, cache or None) for a later input_vjp at the same point."""
-        return self.evaluate(xt, z, t), None
-
     def input_vjp(self, xt, z, t, upstream, cache=None):
-        """Vector-Jacobian product upstream^T d(score)/d(xt)."""
+        """Vector-Jacobian product upstream^T d(score)/d(xt).
+
+        cache, when not None, is the one step_scorer returned at the same
+        point.
+        """
         raise UnsupportedModeError(
             f"{type(self).__name__} does not provide input gradients"
         )
@@ -174,8 +165,8 @@ class GaussianMixtureScore(ScoreField):
 
     If p_0 is sum_k w_k N(mu_k, sigma0^2 I), the perturbed marginal at time t
     is sum_k w_k N(a_t mu_k, (a_t^2 sigma0^2 + b_t^2) I), so the score (and its
-    Jacobian) are exact. Serves as the analytic oracle for the sampler. Its
-    cache is the responsibilities with the perturbed means and variance.
+    Jacobian) are exact. Serves as the analytic oracle for the sampler. It
+    keeps no cache: evaluate and input_vjp each compute the responsibilities.
     """
 
     def __init__(self, means, sigma0, weights, schedule):
@@ -208,18 +199,14 @@ class GaussianMixtureScore(ScoreField):
         gamma /= gamma.sum(axis=1, keepdims=True)
         return gamma, m, var
 
-    def evaluate_cached(self, xt, z, t):
+    def evaluate(self, xt, z, t):
         xt = np.asarray(xt, dtype=np.float64)
         squeeze = xt.ndim == 1
         if squeeze:
             xt = xt[None, :]
-        cache = self._responsibilities(xt, t)
-        gamma, m, var = cache
+        gamma, m, var = self._responsibilities(xt, t)
         score = (gamma @ m - xt) / var
-        return (score[0] if squeeze else score), cache
-
-    def evaluate(self, xt, z, t):
-        return self.evaluate_cached(xt, z, t)[0]
+        return score[0] if squeeze else score
 
     def input_vjp(self, xt, z, t, upstream, cache=None):
         # Per-point Hessian of log p_t: -I/var + sum_k gamma_k s_k s_k^T - s s^T
@@ -229,9 +216,7 @@ class GaussianMixtureScore(ScoreField):
         squeeze = xt.ndim == 1
         if squeeze:
             xt, upstream = xt[None, :], upstream[None, :]
-        if cache is None:
-            cache = self._responsibilities(xt, t)
-        gamma, m, var = cache
+        gamma, m, var = self._responsibilities(xt, t)
         s_k = (m[None, :, :] - xt[:, None, :]) / var  # (N, K, D)
         s = np.einsum("nk,nkd->nd", gamma, s_k)
         sk_g = np.einsum("nkd,nd->nk", s_k, upstream)
@@ -260,6 +245,10 @@ class _ResidualMlp(ScoreField):
                  state_dim, cond_dim):
         if latent_dim < 1 or width < 1 or n_blocks < 1:
             raise InvalidParameterError("latent_dim, width, n_blocks must be >= 1")
+        if temb_dim < 0 or temb_dim % 2:
+            raise InvalidParameterError(
+                f"temb_dim must be even and >= 0, got {temb_dim}"
+            )
         self.latent_dim = int(latent_dim)
         self.width = int(width)
         self.n_blocks = int(n_blocks)
@@ -402,9 +391,8 @@ class _ResidualMlp(ScoreField):
     def step_scorer(self):
         """The forward pass on a float32 copy of the parameters, for both kinds of step.
 
-        keep=False runs evaluate's cache-free pass; keep=True keeps a cache
-        that names the float32 weights, so input_vjp on it runs in float32
-        too. Scores and VJPs come back as float64. The copy is made here,
+        keep=False runs the cache-free pass; keep=True keeps a cache that
+        names the float32 weights, for input_vjp. The copy is made here,
         once per reverse chain, so an in-place update of self.params (an
         Adam step) is never read stale, and it is dropped with the returned
         function.
@@ -415,9 +403,6 @@ class _ResidualMlp(ScoreField):
             return self._field_forward(xt, z, t, keep=keep, params=weights)
 
         return score
-
-    def evaluate_cached(self, xt, z, t):
-        return self._field_forward(xt, z, t)
 
     def input_vjp(self, xt, z, t, upstream, cache=None):
         if cache is None:

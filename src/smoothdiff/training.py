@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalAbortError
-from .geometry import PointCloud
+from .geometry import _as_points
 from .pointio import _atomic_open
 from .score_models import reparameterize
 
@@ -207,8 +207,7 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     nets = (bundle.encoder, bundle.decoder, bundle.latent)
     grads = tuple(np.zeros(net.n_params) for net in nets)
     for cloud in batch:
-        pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
-        sums += _cloud_losses(bundle, pts, schedule, config, rng, grads)
+        sums += _cloud_losses(bundle, _as_points(cloud), schedule, config, rng, grads)
     sums /= n_b
     if not np.all(np.isfinite(sums)):
         raise NumericalAbortError(
@@ -264,7 +263,7 @@ def train(bundle, dataset, schedule, config, loss_path=None, start_epoch=0,
     """
     if len(dataset) < 2:
         raise InvalidInputError("training needs at least two clouds")
-    sizes = {c.n_points if isinstance(c, PointCloud) else len(c) for c in dataset}
+    sizes = {len(_as_points(c)) for c in dataset}
     if len(sizes) != 1:
         raise InvalidInputError(f"clouds must share one point count, got {sizes}")
     if not 0 <= start_epoch < config.epochs:

@@ -525,6 +525,14 @@ def test_bad_config_file_exits_two(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
 
 
+def test_negative_time_embedding_exits_two(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "temb.cfg"
+    cfg.write_text(TINY_CFG.replace("model_temb_dim = 8", "model_temb_dim = -2"))
+    assert main(["train", "--config", str(cfg), "--data", pipeline["synth"],
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    assert "temb_dim" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_special(tmp_path):
     # no CLI stage computes anything with scipy: keep the package, with its
     # special functions and sparse matrices, off the import and off every

@@ -132,6 +132,22 @@ def test_empty_sets_rejected(rng):
         one_nna([], [])
 
 
+def test_nonfinite_clouds_rejected(rng):
+    # one NaN or inf must not turn mmd into nan, or cov and one_nna into
+    # plausible-looking numbers: every metric refuses the cloud
+    ref, gen = make_sets(rng, n_ref=3, n_gen=3)
+    for bad in (np.nan, np.inf):
+        gen[1][4, 2] = bad
+        for metric in (mmd, cov, one_nna, lambda r, g: rs(r, g, k=4),
+                       lambda r, g: evaluate_sets(r, g, knn_k=4)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                metric(ref, gen)
+        with pytest.raises(InvalidInputError, match="finite"):
+            chamfer(ref[0], gen[1])
+        with pytest.raises(InvalidInputError, match="finite"):
+            chamfer(gen[1], ref[0])
+
+
 def test_evaluate_sets_consistent_with_parts(rng, monkeypatch):
     ref, gen = make_sets(rng, n_ref=5, n_gen=5, n_points=14)
     calls = []

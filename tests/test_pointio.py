@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smoothdiff import DataError
+from smoothdiff import DataError, InvalidInputError
 from smoothdiff.pointio import read_cloud_dir, read_xyz, write_xyz
 
 
@@ -48,6 +48,24 @@ def test_reader_rejects_empty_and_nonfinite(tmp_path):
     path.write_text("0 0 nan\n")
     with pytest.raises(DataError, match="invalid point data"):
         read_xyz(path)
+
+
+@pytest.mark.parametrize("bad", [
+    [[np.nan, 0.0, 0.0], [1.0, 2.0, 3.0]],
+    [[0.0, np.inf, 0.0]],
+    [[0.0, 1.0], [2.0, 3.0]],
+    np.zeros((0, 3)),
+])
+def test_writer_rejects_what_the_reader_would(bad, tmp_path):
+    # non-finite or non-(N, 3) points are refused before the temp file is
+    # opened, so the earlier file survives and no .tmp is left
+    path = tmp_path / "c.xyz"
+    write_xyz(path, [[1.0, 2.0, 3.0]])
+    before = path.read_bytes()
+    with pytest.raises(InvalidInputError):
+        write_xyz(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.xyz"]
 
 
 def test_read_missing_file(tmp_path):

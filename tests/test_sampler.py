@@ -46,7 +46,7 @@ class ConstField(ScoreField):
     def evaluate(self, xt, z, t):
         return np.broadcast_to(self.value, np.asarray(xt).shape).copy()
 
-    def input_vjp(self, xt, z, t, upstream):
+    def input_vjp(self, xt, z, t, upstream, cache=None):
         return np.zeros_like(np.asarray(xt, dtype=float))
 
 
@@ -174,8 +174,8 @@ def test_exact_chain_matches_fd_of_denoised_smoothness(rng):
     fd = numeric_grad(s_of_state, xt.copy(), eps=1e-6)
     assert np.max(np.abs(grad - fd)) < 1e-5
 
-    # the public route through a learned net (evaluate_cached, then
-    # input_vjp) stays float64: a float32 score or VJP misses this central
+    # the public route through a learned net (evaluate, then input_vjp
+    # without a cache) stays float64: a float32 score or VJP misses this central
     # difference by about 1e-8 of its largest entry, the float64 route by
     # about 1e-9
     net = MlpScoreNet(6, width=16, n_blocks=2, temb_dim=8)
@@ -190,6 +190,20 @@ def test_exact_chain_matches_fd_of_denoised_smoothness(rng):
         eps=1e-6,
     )
     assert np.max(np.abs(grad - fd)) <= 3e-9 * np.max(np.abs(fd))
+
+
+def test_uncached_exact_gradient_equals_the_cached_one(rng):
+    # with no score, constraint_gradient evaluates the net and runs the
+    # uncached input VJP; both equal forward's score and cache bit for bit
+    net = MlpScoreNet(6, width=16, n_blocks=2, temb_dim=8)
+    net.params[:] = 0.1 * rng.standard_normal(net.n_params)
+    xt, z, t = rng.standard_normal((12, 3)), rng.standard_normal(6), 0.4
+    score, cache = net.forward(xt, z, t)
+    lap = build_laplacian(build_knn_graph(tweedie_denoise(xt, score, t, SCHEDULE), 3))
+    public = constraint_gradient(xt, net, z, t, lap, "exact_chain", SCHEDULE)
+    cached = constraint_gradient(xt, net, z, t, lap, "exact_chain", SCHEDULE,
+                                 score=score, cache=cache)
+    assert np.array_equal(public, cached)
 
 
 def test_frozen_equals_exact_for_state_independent_field(rng):
@@ -209,8 +223,8 @@ def test_frozen_equals_exact_for_state_independent_field(rng):
     assert np.max(np.abs(frozen - fd)) < 1e-6
 
 
-def test_exact_generate_runs_four_argument_field():
-    # a user field whose input_vjp takes no cache still runs exact guidance;
+def test_exact_generate_equals_frozen_for_state_independent_field():
+    # a field with the default step_scorer runs exact guidance with no cache;
     # its input Jacobian is zero, so exact equals frozen bit for bit
     field = ConstField(np.array([0.2, -0.3, 0.15]))
     clouds = {

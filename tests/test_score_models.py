@@ -95,19 +95,6 @@ def test_gmm_input_vjp_matches_directional_fd(gmm, rng):
     assert np.max(np.abs(got - fd)) < 1e-6
 
 
-def test_gmm_cached_vjp_reuses_responsibilities(gmm, rng):
-    x = rng.standard_normal((4, 3))
-    v = rng.standard_normal((4, 3))
-    t = 0.5
-    score, cache = gmm.evaluate_cached(x, None, t)
-    assert np.array_equal(score, gmm.evaluate(x, None, t))
-    cached = gmm.input_vjp(x, None, t, v, cache=cache)
-    assert np.array_equal(cached, gmm.input_vjp(x, None, t, v))
-    eps = 1e-6
-    fd = (gmm.evaluate(x + eps * v, None, t) - gmm.evaluate(x - eps * v, None, t)) / (2 * eps)
-    assert np.max(np.abs(cached - fd)) < 1e-6
-
-
 def test_gmm_1d_input(gmm):
     x = np.array([0.1, 0.2, 0.3])
     t = 0.7
@@ -194,7 +181,7 @@ def test_cached_input_vjp_is_backward_input_gradient(tiny_bundle, rng):
     t = 0.45
     dec = tiny_bundle.decoder
     xt, z, v = rng.standard_normal((5, 3)), rng.standard_normal(6), rng.standard_normal((5, 3))
-    score, cache = dec.evaluate_cached(xt, z, t)
+    score, cache = dec.forward(xt, z, t)
     assert np.array_equal(score, dec.evaluate(xt, z, t))
     cached = dec.input_vjp(xt, z, t, v, cache=cache)
     assert np.array_equal(cached, dec.input_vjp(xt, z, t, v))
@@ -202,7 +189,7 @@ def test_cached_input_vjp_is_backward_input_gradient(tiny_bundle, rng):
 
     lat = tiny_bundle.latent
     zt, u = rng.standard_normal(6), rng.standard_normal(6)
-    score, cache = lat.evaluate_cached(zt, None, t)
+    score, cache = lat.forward(zt, t)
     assert score.shape == (6,)
     cached = lat.input_vjp(zt, None, t, u, cache=cache)
     assert cached.shape == (6,)
@@ -489,6 +476,17 @@ def test_bundle_rejects_mismatched_time_embeddings():
     lat = LatentScoreNet(latent_dim=4, width=8, n_blocks=1, temb_dim=6)
     with pytest.raises(InvalidInputError, match="time embedding"):
         ModelBundle(encoder=enc, decoder=dec, latent=lat)
+
+
+@pytest.mark.parametrize("temb_dim", [7, -2])
+def test_score_nets_reject_a_bad_time_embedding_width(temb_dim):
+    # refused when the nets are built, not at their first evaluate (odd) or
+    # inside np.linspace (negative)
+    with pytest.raises(InvalidParameterError, match="temb_dim"):
+        build_models(ModelConfig(temb_dim=temb_dim))
+    for cls in (MlpScoreNet, LatentScoreNet):
+        with pytest.raises(InvalidParameterError, match="temb_dim"):
+            cls(latent_dim=4, width=8, n_blocks=1, temb_dim=temb_dim)
 
 
 def test_score_net_parameter_layouts_are_pinned():
