@@ -11,13 +11,7 @@ __version__ = "0.1.0"
 
 from ._kernels import backend_name
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (
-    RunConfig,
-    dump_run_config,
-    load_run_config,
-    parse_run_config,
-    stage_config,
-)
+from .config import RunConfig, dump_run_config, parse_run_config, stage_config
 from .errors import (
     ConfigError,
     DataError,
@@ -29,7 +23,6 @@ from .errors import (
     UnsupportedModeError,
 )
 from .geometry import (
-    KnnGraph,
     LaplacianMatrix,
     PointCloud,
     ShapeSpec,
@@ -39,20 +32,10 @@ from .geometry import (
     smoothness,
     smoothness_gradient,
 )
-from .metrics import (
-    MetricReport,
-    chamfer,
-    cov,
-    evaluate_sets,
-    mmd,
-    one_nna,
-    rs,
-    write_metrics_csv,
-)
-from .pointio import read_cloud_dir, read_xyz, write_xyz
+from .metrics import cov, evaluate_sets, mmd, one_nna, rs
+from .pointio import read_xyz, write_xyz
 from .sampler import (
     SamplerConfig,
-    Trajectory,
     constraint_gradient,
     generate,
     sample_latent,
@@ -62,36 +45,26 @@ from .score_models import (
     GaussianMixtureScore,
     LatentScoreNet,
     MlpScoreNet,
-    ModelBundle,
     ModelConfig,
     PointEncoder,
     ScoreField,
     build_models,
-    reparameterize,
-    time_embedding,
 )
-from .sde import EPS_T, DiffusionSchedule
+from .sde import DiffusionSchedule
 from .training import (
-    Adam,
-    LossReport,
     TrainConfig,
     entropy_term,
     latent_dsm_loss,
-    lr_factor,
-    make_optimizers,
     recon_dsm_loss,
     train,
-    train_step,
 )
 
 __all__ = [
-    "__version__",
     "backend_name",
     "load_checkpoint",
     "save_checkpoint",
     "RunConfig",
     "dump_run_config",
-    "load_run_config",
     "parse_run_config",
     "stage_config",
     "ConfigError",
@@ -102,7 +75,6 @@ __all__ = [
     "SingularTimeError",
     "SmoothDiffError",
     "UnsupportedModeError",
-    "KnnGraph",
     "LaplacianMatrix",
     "PointCloud",
     "ShapeSpec",
@@ -111,19 +83,14 @@ __all__ = [
     "generate_shape",
     "smoothness",
     "smoothness_gradient",
-    "MetricReport",
-    "chamfer",
     "cov",
     "evaluate_sets",
     "mmd",
     "one_nna",
     "rs",
-    "write_metrics_csv",
-    "read_cloud_dir",
     "read_xyz",
     "write_xyz",
     "SamplerConfig",
-    "Trajectory",
     "constraint_gradient",
     "generate",
     "sample_latent",
@@ -131,23 +98,14 @@ __all__ = [
     "GaussianMixtureScore",
     "LatentScoreNet",
     "MlpScoreNet",
-    "ModelBundle",
     "ModelConfig",
     "PointEncoder",
     "ScoreField",
     "build_models",
-    "reparameterize",
-    "time_embedding",
-    "EPS_T",
     "DiffusionSchedule",
-    "Adam",
-    "LossReport",
     "TrainConfig",
     "entropy_term",
     "latent_dsm_loss",
-    "lr_factor",
-    "make_optimizers",
     "recon_dsm_loss",
     "train",
-    "train_step",
 ]

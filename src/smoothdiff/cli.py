@@ -1,17 +1,16 @@
 """Command-line entry points.
 
-Subcommands: synth (synthetic shape datasets), train, sample, eval,
-sweep-k (constraint-k sensitivity), and denoise-demo (analytic-oracle
-self-checks). Every command is deterministic under a fixed --seed. A flag
-that overrides a config key has that key as its argparse dest (--steps of
-sample is sample_n_steps); main merges the given flags into the config,
-and the commands read only the merged config. Flags override config-file
-values, which override defaults. Exit codes: 0 ok, 2 configuration or
-parameter error, 3 data error, 4 numerical abort.
+Subcommands: synth (synthetic shape datasets), train, sample, eval and
+sweep-k (constraint-k sensitivity). Every command is deterministic under a
+fixed --seed. A flag that overrides a config key has that key as its
+argparse dest (--steps of sample is sample_n_steps); main merges the given
+flags into the config, and the commands read only the merged config. Flags
+override config-file values, which override defaults. Exit codes: 0 ok, 2
+configuration or parameter error, 3 data error or an output that cannot be
+written, 4 numerical abort.
 
-The default output root is the current directory, overridable with the
-SMOOTHDIFF_OUTPUT_ROOT environment variable; each command writes under
-<root>/<command> unless --out is given.
+Without --out, each command writes under <output_dir>/<command>, where
+output_dir is the config key, or the current directory if it is empty.
 """
 
 import argparse
@@ -38,8 +37,8 @@ from .errors import (
 from .geometry import ShapeSpec, generate_shape
 from .metrics import _mean_smoothness, evaluate_sets, write_metrics_csv
 from .pointio import _atomic_open, read_cloud_dir, write_xyz
-from .sampler import SamplerConfig, generate, tweedie_denoise
-from .score_models import GaussianMixtureScore, ModelConfig, build_models
+from .sampler import SamplerConfig, generate
+from .score_models import ModelConfig, build_models
 from .sde import DiffusionSchedule
 from .training import TrainConfig, train
 
@@ -53,16 +52,8 @@ class _ModeFlag(argparse.Action):
         setattr(namespace, self.dest, MODE_FLAG_MAP[value])
 
 
-def _output_root():
-    return os.environ.get("SMOOTHDIFF_OUTPUT_ROOT", ".")
-
-
 def _resolve_out(args_out, cfg, command):
-    if args_out:
-        return args_out
-    if cfg.output_dir:
-        return os.path.join(cfg.output_dir, command)
-    return os.path.join(_output_root(), command)
+    return args_out or os.path.join(cfg.output_dir or ".", command)
 
 
 def _out_file(args_out, cfg, command, name):
@@ -285,75 +276,6 @@ def cmd_sweep_k(args, cfg):
     return 0
 
 
-def cmd_denoise_demo(args, cfg):
-    schedule = stage_config(DiffusionSchedule, cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    # Tweedie vs the conjugate-Gaussian posterior mean.
-    worst = 0.0
-    for _ in range(20):
-        mu = 2.0 * rng.standard_normal(3)
-        sigma0 = rng.uniform(0.2, 1.5)
-        t = rng.uniform(0.05, 1.0)
-        field = GaussianMixtureScore([mu], sigma0, [1.0], schedule)
-        x0 = mu + sigma0 * rng.standard_normal((8, 3))
-        a, b = schedule.drift_coef(t), schedule.diffusion_std(t)
-        xt = a * x0 + b * rng.standard_normal((8, 3))
-        xhat = tweedie_denoise(xt, field.evaluate(xt, None, t), t, schedule)
-        var = a * a * sigma0 ** 2 + b * b
-        bayes = (mu * b * b + a * xt * sigma0 ** 2) / var
-        worst = max(worst, float(np.max(np.abs(xhat - bayes))))
-    print(f"tweedie_vs_posterior_max_abs_error={worst!r}")
-
-    # Mixture score vs central finite differences of the log density.
-    means = rng.standard_normal((3, 3))
-    weights = rng.uniform(0.2, 1.0, size=3)
-    field = GaussianMixtureScore(means, 0.5, weights / weights.sum(), schedule)
-    t = 0.4
-    xt = rng.standard_normal((10, 3))
-    score = field.evaluate(xt, None, t)
-    h = 1e-5
-    fd = np.zeros_like(xt)
-    for i in range(xt.shape[0]):
-        for c in range(3):
-            for sign in (1.0, -1.0):
-                probe = xt.copy()
-                probe[i, c] += sign * h
-                fd[i, c] += sign * _gmm_logpdf(field, probe[i], t)
-    fd /= 2.0 * h
-    rel = float(np.max(np.abs(score - fd))) / max(1.0, float(np.max(np.abs(fd))))
-    print(f"gmm_score_vs_finite_difference_max_rel_error={rel!r}")
-
-    # Short end-to-end chain on a two-component mixture.
-    demo_field = GaussianMixtureScore(
-        [(2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)], 0.3, [0.5, 0.5], schedule
-    )
-    sampler_cfg = SamplerConfig(
-        n_steps=args.steps, alpha=0.0, constraint_mode="off", seed=cfg.seed
-    )
-    clouds, _ = generate(demo_field, schedule, sampler_cfg, 1, args.samples)
-    pts = clouds[0].points
-    right = pts[pts[:, 0] > 0]
-    left = pts[pts[:, 0] <= 0]
-    occ_err = abs(len(right) / len(pts) - 0.5)
-    mean_err = max(
-        float(np.linalg.norm(right.mean(axis=0) - (2.0, 0.0, 0.0))),
-        float(np.linalg.norm(left.mean(axis=0) - (-2.0, 0.0, 0.0))),
-    )
-    print(f"mixture_occupancy_abs_error={occ_err!r}")
-    print(f"mixture_component_mean_error={mean_err!r}")
-    return 0
-
-
-def _gmm_logpdf(field, x, t):
-    m, var = field._moments(t)
-    diff = x[None, :] - m
-    logits = np.log(field.weights) - np.sum(diff * diff, axis=1) / (2.0 * var) \
-        - 1.5 * np.log(2.0 * np.pi * var)
-    peak = logits.max()
-    return float(peak + np.log(np.exp(logits - peak).sum()))
-
-
 def build_parser():
     """The CLI parser. A flag that overrides a config key uses that key as
     its dest; the other arguments belong to their command."""
@@ -425,12 +347,6 @@ def build_parser():
     p.add_argument("--t-constraint", dest="sample_t_constraint", type=float,
                    help="apply the constraint only while t <= this")
     p.set_defaults(func=cmd_sweep_k)
-
-    p = sub.add_parser("denoise-demo", parents=[common],
-                       help="print analytic-oracle vs implementation errors")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--steps", type=int, default=100)
-    p.set_defaults(func=cmd_denoise_demo)
     return parser
 
 
@@ -444,7 +360,7 @@ def main(argv=None):
     except (ConfigError, InvalidParameterError, UnsupportedModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, InvalidInputError) as exc:
+    except (DataError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalAbortError as exc:

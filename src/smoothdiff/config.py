@@ -11,6 +11,7 @@ STAGE_PREFIXES and stage_config); the remaining keys are read by the
 commands themselves.
 """
 
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -82,6 +83,13 @@ class RunConfig:
     sample_record_trajectory: bool = False
 
     eval_knn_k: int = 30
+
+    def __post_init__(self):
+        # NaN fails every comparison, so a range check downstream would let it through
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config key {f.name} must be finite, got {value!r}")
 
 
 _TYPES = typing.get_type_hints(RunConfig)

@@ -29,7 +29,6 @@ from smoothdiff import (
     build_knn_graph,
     build_laplacian,
     build_models,
-    chamfer,
     constraint_gradient,
     cov,
     generate,
@@ -45,6 +44,7 @@ from smoothdiff import (
     tweedie_denoise,
 )
 from smoothdiff.cli import main as cli_main
+from smoothdiff.metrics import chamfer
 
 SCHEDULE = DiffusionSchedule()
 FAST = os.environ.get("SMOOTHDIFF_ACCEPT_FAST", "") not in ("", "0")

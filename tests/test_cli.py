@@ -19,10 +19,10 @@ from smoothdiff import (
     RunConfig,
     dump_run_config,
     load_checkpoint,
-    load_run_config,
     save_checkpoint,
 )
 from smoothdiff.cli import build_parser, main
+from smoothdiff.config import load_run_config
 from smoothdiff.pointio import write_xyz
 from smoothdiff.sampler import Trajectory
 from smoothdiff.training import LossReport, _write_loss_row
@@ -458,17 +458,23 @@ def _artifact_writers(pipeline, out):
 
 @pytest.mark.parametrize("artifact", ["xyz", "manifest", "metrics", "sweep", "trajectory",
                                       "loss"])
-def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, artifact):
+def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, capsys,
+                                              artifact):
     # a write that fails halfway (ENOSPC) leaves the previous file whole and
-    # no temp file beside it, as for the checkpoint
+    # no temp file beside it, as for the checkpoint; the CLI exits 3
     path, write = _artifact_writers(pipeline, tmp_path)[artifact]
     write()
     before = path.read_bytes()
     names = sorted(os.listdir(tmp_path))
     with monkeypatch.context() as m:
         tear_writes(m)
-        with pytest.raises(OSError, match="No space"):
-            write()
+        if artifact in ("metrics", "sweep"):
+            capsys.readouterr()
+            assert write() == 3
+            assert "No space" in capsys.readouterr().err
+        else:
+            with pytest.raises(OSError, match="No space"):
+                write()
     assert sorted(os.listdir(tmp_path)) == names
     assert path.read_bytes() == before
 
@@ -479,7 +485,7 @@ def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, a
 # Arguments that are not config overrides: their meaning or default differs.
 COMMAND_ARGS = {
     "help", "command", "config", "out", "checkpoint", "resume", "reference",
-    "generated", "k_values", "alpha", "mode", "steps", "samples",
+    "generated", "k_values", "alpha", "mode",
 }
 
 
@@ -495,17 +501,6 @@ def test_flag_dests_are_config_keys_or_command_args():
                 assert action.default is None, (name, action.dest)
 
 
-def test_denoise_demo_reports_small_errors(capsys):
-    assert main(["denoise-demo", "--samples", "400", "--steps", "60",
-                 "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    values = dict(line.split("=", 1) for line in out.strip().splitlines())
-    assert float(values["tweedie_vs_posterior_max_abs_error"]) < 1e-9
-    assert float(values["gmm_score_vs_finite_difference_max_rel_error"]) < 1e-5
-    assert float(values["mixture_occupancy_abs_error"]) < 0.1
-    assert float(values["mixture_component_mean_error"]) < 0.2
-
-
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -517,6 +512,44 @@ def test_config_output_dir_used(pipeline, tmp_path):
     cfg.write_text(TINY_CFG + f"output_dir = {tmp_path / 'routed'}\n")
     assert main(["synth", "--config", str(cfg), "--count", "1"]) == 0
     assert os.path.exists(tmp_path / "routed" / "synth" / "cloud_0000.xyz")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "sample", "eval", "sweep-k"])
+def test_unwritable_output_exits_three(pipeline, tmp_path, capsys, command):
+    # an output directory under a regular file cannot be made: exit 3, and
+    # the message names it
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / "afile" / "sub")
+    c = ["--config", pipeline["cfg"]]
+    ref = ["--reference", pipeline["synth"]]
+    argv = {
+        "synth": ["synth", *c, "--count", "1", "--out", out],
+        "train": ["train", *c, "--data", pipeline["synth"], "--out", out],
+        "sample": ["sample", *c, "--checkpoint", pipeline["ckpt"], "--out", out],
+        "eval": ["eval", *c, *ref, "--generated", pipeline["synth"],
+                 "--out", os.path.join(out, "metrics.csv")],
+        "sweep-k": ["sweep-k", *c, *ref, "--checkpoint", pipeline["ckpt"],
+                    "--k-values", "3", "--count", "1", "--points", "20", "--steps", "4",
+                    "--alpha", "1e-4", "--out", os.path.join(out, "sweep.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, argv, key", [
+    ("", lambda p: ["synth", "--noise-std", "nan"], "shape_noise_std"),
+    ("sample_alpha = nan\n",
+     lambda p: ["sample", "--mode", "frozen", "--checkpoint", p["ckpt"]], "sample_alpha"),
+], ids=["flag", "config_line"])
+def test_non_finite_config_value_exits_two(pipeline, tmp_path, capsys, line, argv, key):
+    # from a flag or a config line: exit 2, naming the key, before any output
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG + line)
+    capsys.readouterr()
+    assert main([*argv(pipeline), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_file_exits_two(tmp_path):

@@ -13,11 +13,10 @@ from smoothdiff import (
     ShapeSpec,
     TrainConfig,
     dump_run_config,
-    load_run_config,
     parse_run_config,
     stage_config,
 )
-from smoothdiff.config import STAGE_PREFIXES
+from smoothdiff.config import STAGE_PREFIXES, load_run_config
 
 # Keys that the commands read themselves rather than pass to a stage.
 COMMAND_KEYS = {

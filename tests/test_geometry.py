@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from smoothdiff import (
     InvalidInputError,
     InvalidParameterError,
-    KnnGraph,
     LaplacianMatrix,
     PointCloud,
     ShapeSpec,
@@ -19,6 +18,7 @@ from smoothdiff import (
     smoothness,
     smoothness_gradient,
 )
+from smoothdiff.geometry import KnnGraph
 
 from conftest import brute_force_knn, numeric_grad
 

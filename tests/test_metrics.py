@@ -10,15 +10,14 @@ from smoothdiff import (
     InvalidInputError,
     build_knn_graph,
     build_laplacian,
-    chamfer,
     cov,
     evaluate_sets,
     mmd,
     one_nna,
     rs,
     smoothness,
-    write_metrics_csv,
 )
+from smoothdiff.metrics import chamfer, write_metrics_csv
 
 
 def oracle_chamfer(p, q):

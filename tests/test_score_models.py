@@ -15,15 +15,17 @@ from smoothdiff import (
     InvalidParameterError,
     LatentScoreNet,
     MlpScoreNet,
-    ModelBundle,
     ModelConfig,
     PointEncoder,
     DiffusionSchedule,
     build_models,
+)
+from smoothdiff.score_models import (
+    ModelBundle,
+    _silu_inplace,
     reparameterize,
     time_embedding,
 )
-from smoothdiff.score_models import _silu_inplace
 from smoothdiff.sde import EPS_T
 
 from conftest import numeric_grad

@@ -5,12 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from smoothdiff import (
-    EPS_T,
     DiffusionSchedule,
     InvalidInputError,
     InvalidParameterError,
     SingularTimeError,
 )
+from smoothdiff.sde import EPS_T
 
 
 @pytest.fixture

@@ -6,24 +6,26 @@ import numpy as np
 import pytest
 
 from smoothdiff import (
-    Adam,
     DiffusionSchedule,
     InvalidInputError,
-    LossReport,
     ModelConfig,
     NumericalAbortError,
     TrainConfig,
     build_models,
     entropy_term,
     latent_dsm_loss,
+    recon_dsm_loss,
+    train,
+)
+from smoothdiff.score_models import reparameterize
+from smoothdiff.training import (
+    Adam,
+    LossReport,
+    _cloud_losses,
     lr_factor,
     make_optimizers,
-    recon_dsm_loss,
-    reparameterize,
-    train,
     train_step,
 )
-from smoothdiff.training import _cloud_losses
 
 from conftest import FixedRng, numeric_grad
 
