@@ -111,9 +111,12 @@ def _parse_value(key, raw, where):
             raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
     if kind is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: config key {key} must be finite, got {raw!r}")
+        return value
     return raw
 
 

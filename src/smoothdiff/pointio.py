@@ -23,17 +23,20 @@ def _atomic_open(path, mode="w"):
     """Open a sibling temp file for path's new contents and rename it over path.
 
     The rename happens only when the with block finishes; on any failure the
-    temp file is removed and a previous file at path stays as it was. Text
-    files are opened with newline="", so the writer picks the line endings.
+    temp file is removed and a previous file at path stays as it was. An
+    OSError is raised again with its errno and path's name. Text files are
+    opened with newline="", so the writer picks the line endings.
     """
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

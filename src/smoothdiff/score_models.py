@@ -18,16 +18,21 @@ evaluate needs only the score, so it runs forward with keep=False: no
 cache, two row buffers reused across the blocks, and the same outputs bit
 for bit.
 
-Precision. The reverse chain scores every step with step_scorer, which runs
-forward on a float32 copy of the parameters, cast once per chain: the row
-arrays are float32, the row-constant terms are formed in float64 and then
-cast, and the score comes back as float64. A guided exact-chain step keeps
-that forward's cache, which names the float32 weights it ran on, so
-input_vjp on it runs in float32 as well and returns float64. Everything
-else is float64: evaluate, input_vjp without a cache, and backward.
-Finite-difference checks difference evaluate and the exact-chain gradient
-of sampler.constraint_gradient called without a score, at steps float32
-rounding would swamp, and backward trains on the float64 cache.
+Precision. One rule: forward runs its rows in the dtype of the weights it
+is given (params=, self.params by default), and its cache names those
+weights, so input_vjp and backward on that cache run in the same dtype. The
+row-constant terms (time-embedding and code columns, their parameter
+gradients and d/d code) are formed in float64 from self.params, and scores
+and gradients come back as float64; on float64 weights every cast is a
+no-op. Two callers pass a float32 copy. The reverse chain scores every step
+with step_scorer, cast once per chain, and a guided exact-chain step hands
+that forward's cache to input_vjp. Training casts the decoder's parameters
+once per batch and backpropagates through its float32 caches into float64
+gradient buffers. Everything else is float64: evaluate, input_vjp without
+a cache, backward on a float64 cache, and the encoder. Finite-difference
+checks difference evaluate, the exact-chain gradient of
+sampler.constraint_gradient called without a score, and the float64
+training losses, at steps float32 rounding would swamp.
 
 The encoder's max pool reads one row per feature, so its cache is (pts, s1,
 h1, s2, h2, s3, h3) at the pooled rows only, at most min(N, feature_width)
@@ -324,12 +329,18 @@ class _ResidualMlp(ScoreField):
 
         Returns (flat parameter gradient, d/d state rows, d/d code). The
         parameter gradient is added into out, a flat vector of n_params,
-        when one is given, and into a fresh zero vector otherwise. The cache
-        must come from a float64 forward on self.params.
+        when one is given, and into a fresh zero vector otherwise. Like
+        _input_vjp_rows it runs the rows in the dtype of the weights the
+        cache names; the code columns of the block weights and the
+        time-embedding and code gradients are formed in float64 from
+        self.params, and the gradients come back in float64.
         """
-        state, temb, code, hs, sigs, acts, _ = cache
-        sd, w = self.state_dim, self.width
+        state, temb, code, hs, sigs, acts, p = cache
+        sd, w, dtype = self.state_dim, self.width, p.dtype
         g = np.zeros(self.layout.size) if out is None else out
+
+        def weights(name):
+            return self.layout.view(p, name)
 
         def grad(name):
             return self.layout.view(g, name)
@@ -338,29 +349,30 @@ class _ResidualMlp(ScoreField):
             slot = grad(name)
             slot += value
 
+        upstream = upstream.astype(dtype, copy=False)
         add("out_w", upstream.T @ hs[-1])
         add("out_b", upstream.sum(axis=0))
-        dh = upstream @ self._p("out_w")
+        dh = upstream @ weights("out_w")
         dcode = np.zeros(self.cond_dim)
         for k in reversed(range(self.n_blocks)):
-            w1 = self._p(f"b{k}_w1")
             add(f"b{k}_b2", dh.sum(axis=0))
             add(f"b{k}_w2", dh.T @ acts[k])
-            dpre = dh @ self._p(f"b{k}_w2")
+            dpre = dh @ weights(f"b{k}_w2")
             dpre *= _silu_slope(sigs[k], acts[k])
             dpre_sum = dpre.sum(axis=0)
             add(f"b{k}_b1", dpre_sum)
             gw1 = grad(f"b{k}_w1")
             gw1[:, :w] += dpre.T @ hs[k]
             gw1[:, w:] += np.outer(dpre_sum, code)
-            dh += dpre @ w1[:, :w]
-            dcode += dpre_sum @ w1[:, w:]
+            dh += dpre @ weights(f"b{k}_w1")[:, :w]
+            dcode += dpre_sum @ self._p(f"b{k}_w1")[:, w:]
         dh_sum = dh.sum(axis=0)
         gin = grad("in_w")
-        gin[:, :sd] += dh.T @ state
+        gin[:, :sd] += dh.T @ state.astype(dtype, copy=False)
         gin[:, sd:] += np.outer(dh_sum, temb)
         add("in_b", dh_sum)
-        return g, dh @ self._p("in_w")[:, :sd], dcode
+        drows = dh @ weights("in_w")[:, :sd]
+        return g, drows.astype(np.float64, copy=False), dcode
 
     def _input_vjp_rows(self, cache, upstream):
         """d/d state rows of an (R, state_dim) upstream; no parameter gradient.

@@ -10,6 +10,14 @@ where the two denoising terms carry the g(t)^2 / 2 likelihood weighting and
 the entropy of the Gaussian posterior keeps the encoder from collapsing.
 Optimization is plain Adam over three flat parameter vectors, one per
 network, each with its own learning rate.
+
+Precision. Training is mixed precision (Micikevicius et al., "Mixed
+Precision Training", ICLR 2018, with float32 in place of float16 and no
+loss scaling): each batch runs the decoder's forward and backward passes on
+a float32 copy of its parameters, made after the previous Adam step and
+dropped before the next, while the parameters, the gradient buffers and the
+Adam moments stay float64. The encoder and the latent net run in float64.
+The public recon_dsm_loss and latent_dsm_loss evaluate in float64.
 """
 
 import csv
@@ -152,12 +160,14 @@ def entropy_term(mean, logvar):
     return 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 
 
-def _cloud_losses(bundle, points, schedule, config, rng, grads):
+def _cloud_losses(bundle, points, schedule, config, rng, grads, decoder_weights=None):
     """Forward and backward for one cloud; returns (recon, latent, entropy).
 
     grads is the (encoder, decoder, latent) triple of flat gradient buffers;
     each backward pass adds this cloud's parameter gradient into its buffer,
-    so a batch sums its clouds' gradients with no per-cloud copy.
+    so a batch sums its clouds' gradients with no per-cloud copy. The
+    decoder's forward, and so its backward, run on decoder_weights, a flat
+    vector in its layout (its float64 params by default).
     """
     n = points.shape[0]
     d = bundle.latent_dim
@@ -171,7 +181,8 @@ def _cloud_losses(bundle, points, schedule, config, rng, grads):
     mean, logvar, enc_cache = bundle.encoder.forward(points)
     z0 = reparameterize(mean, logvar, eps_z)
     loss_x, ds_x, dec_cache = _dsm(
-        lambda xt: bundle.decoder.forward(xt, z0, t), points, t, noise_x, schedule
+        lambda xt: bundle.decoder.forward(xt, z0, t, params=decoder_weights),
+        points, t, noise_x, schedule,
     )
     loss_z, ds_z, lat_cache = _dsm(
         lambda zt: bundle.latent.forward(zt, t), z0, t, noise_z, schedule
@@ -198,7 +209,9 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     into one gradient buffer per network, which is divided by the batch size
     in place, and the three averages are applied with independent Adam
     states (encoder, decoder, latent), each scaled by lr_scale. The step
-    holds no per-cloud parameter-sized vector.
+    holds no per-cloud parameter-sized vector. The decoder's passes run on
+    a float32 copy of its parameters, made after the previous Adam step and
+    dropped before this one.
     """
     if len(batch) == 0:
         raise InvalidInputError("batch must contain at least one cloud")
@@ -206,8 +219,11 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     sums = np.zeros(3)
     nets = (bundle.encoder, bundle.decoder, bundle.latent)
     grads = tuple(np.zeros(net.n_params) for net in nets)
+    weights = bundle.decoder.params.astype(np.float32)
     for cloud in batch:
-        sums += _cloud_losses(bundle, _as_points(cloud), schedule, config, rng, grads)
+        sums += _cloud_losses(bundle, _as_points(cloud), schedule, config, rng, grads,
+                              weights)
+    del weights
     sums /= n_b
     if not np.all(np.isfinite(sums)):
         raise NumericalAbortError(

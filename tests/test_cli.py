@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import filecmp
 import hashlib
 import json
@@ -461,7 +462,8 @@ def _artifact_writers(pipeline, out):
 def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, capsys,
                                               artifact):
     # a write that fails halfway (ENOSPC) leaves the previous file whole and
-    # no temp file beside it, as for the checkpoint; the CLI exits 3
+    # no temp file beside it, as for the checkpoint; the CLI exits 3, and the
+    # error keeps its errno and names the file
     path, write = _artifact_writers(pipeline, tmp_path)[artifact]
     write()
     before = path.read_bytes()
@@ -471,10 +473,14 @@ def test_failed_write_keeps_previous_artifact(pipeline, tmp_path, monkeypatch, c
         if artifact in ("metrics", "sweep"):
             capsys.readouterr()
             assert write() == 3
-            assert "No space" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "No space" in err and path.name in err
         else:
-            with pytest.raises(OSError, match="No space"):
+            with pytest.raises(OSError, match="No space") as info:
                 write()
+            assert info.value.errno == errno.ENOSPC
+            assert info.value.filename == str(path)
+            assert path.name in str(info.value)
     assert sorted(os.listdir(tmp_path)) == names
     assert path.read_bytes() == before
 

@@ -79,6 +79,17 @@ def test_typed_value_errors():
         parse_run_config("sample_terminal_denoise = yes\n")
 
 
+def test_non_finite_value_rejected_with_location():
+    # the config file's line, as for every other bad value; RunConfig built
+    # in code keeps its own check
+    for raw in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError,
+                           match=rf"^run\.cfg:3: config key sample_alpha must be finite, got '{raw}'$"):
+            parse_run_config(f"seed = 1\n# guided\nsample_alpha = {raw}\n", source="run.cfg")
+    with pytest.raises(ConfigError, match=r"^config key beta_max must be finite, got nan$"):
+        RunConfig(beta_max=float("nan"))
+
+
 def test_bool_spelling():
     assert parse_run_config("sample_terminal_denoise = true\n").sample_terminal_denoise
     assert not parse_run_config("sample_terminal_denoise = false\n").sample_terminal_denoise

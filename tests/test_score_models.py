@@ -249,9 +249,10 @@ def test_evaluate_runs_the_cache_free_forward(desk_nets, n, t):
 @pytest.mark.parametrize("t", [EPS_T, 0.3, 1.0])
 @pytest.mark.parametrize("n", [256, 2048])
 def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
-    # the chain's float32 passes against the float64 evaluate and input_vjp
-    # they stand in for: keep=False on every step, and keep=True with the
-    # VJP on its cache on guided exact steps
+    # the float32 passes against the float64 evaluate, input_vjp and backward
+    # they stand in for: keep=False on every chain step, keep=True with the
+    # VJP on its cache on guided exact steps, and backward on such a cache
+    # as training runs it
     dec, lat = desk_nets
     gen = np.random.default_rng(n)
     xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
@@ -270,6 +271,12 @@ def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
         assert cache[-1].dtype == np.float32
         assert_close(got, want)
         assert_close(net.input_vjp(*args, up, cache=cache), net.input_vjp(*args, up))
+        # (parameter gradient, d/d state[, d/d code]) against the float64 cache's
+        want = net.backward(net._field_forward(*args)[1], up)
+        got = net.backward(cache, up)
+        assert len(got) == len(want) == (3 if net is dec else 2)
+        for g, w in zip(got, want):
+            assert_close(g, w)
 
 
 def test_silu_sigmoid_matches_expit():

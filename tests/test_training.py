@@ -147,9 +147,50 @@ def test_cloud_losses_gradient_matches_fd(tiny_bundle):
         assert np.max(np.abs(grad - fd)) < 2e-6, name
 
 
+def test_training_runs_the_decoder_on_a_float32_copy(monkeypatch):
+    """train_step casts the decoder's weights to float32 once per batch,
+    after the previous Adam step; the gradients _cloud_losses adds with that
+    copy lie within 1e-5, relative, of those it adds with the float64
+    weights, for all three nets."""
+    bundle = build_models(ModelConfig(), seed=0)
+    gen = np.random.default_rng(11)
+    for net in (bundle.encoder, bundle.decoder, bundle.latent):
+        net.params[:] = 0.05 * gen.standard_normal(net.n_params)
+    points = 0.5 * gen.standard_normal((256, 3))
+    cfg = TrainConfig()
+    for t in (0.05, 0.5, 1.0):
+        normals = [gen.standard_normal(64), gen.standard_normal((256, 3)),
+                   gen.standard_normal(64)]
+        runs = []
+        for weights in (None, bundle.decoder.params.astype(np.float32)):
+            grads = _zero_grads(bundle)
+            losses = _cloud_losses(bundle, points, SCHEDULE, cfg, FixedRng(t, normals),
+                                   grads, weights)
+            runs.append((losses, grads))
+        (want_losses, want_grads), (got_losses, got_grads) = runs
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-5)
+        for got, want in zip(got_grads, want_grads):
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    seen = []
+    forward = bundle.decoder.forward
+    monkeypatch.setattr(bundle.decoder, "forward",
+                        lambda *a, **k: seen.append(k["params"]) or forward(*a, **k))
+    opts = make_optimizers(bundle, cfg)
+    for _ in range(2):
+        cast = bundle.decoder.params.astype(np.float32)
+        seen.clear()
+        train_step(bundle, [points, points[::-1]], SCHEDULE, cfg, gen, opts)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].dtype == np.float32 and np.array_equal(seen[0], cast)
+
+
 def test_training_losses_are_the_public_dsm_losses(tiny_bundle):
-    """The losses training reports are recon_dsm_loss and latent_dsm_loss
-    of the same draws, bit for bit, so criterion 8 covers the training path."""
+    """With the float64 weights, the losses _cloud_losses reports are
+    recon_dsm_loss and latent_dsm_loss of the same draws, bit for bit, so
+    criterion 8 covers the training path; train_step passes a float32 copy
+    of the decoder's weights, and the test above bounds what that moves."""
     rng = np.random.default_rng(5)
     points = rng.standard_normal((7, 3))
     t = 0.31
@@ -189,8 +230,9 @@ def test_cloud_losses_add_into_the_buffers(tiny_bundle):
 
 def test_train_step_memory_is_bounded_by_the_layouts():
     """A desk-sized step holds no per-cloud gradient copy and no full-cloud
-    encoder state: its traced peak stays within the gradient buffers plus
-    the larger of Adam's two step temporaries and one cloud's caches."""
+    encoder state, and drops the decoder's float32 weights before Adam: its
+    traced peak stays within the gradient buffers plus the larger of Adam's
+    two step temporaries and the float32 weights with one cloud's caches."""
     n = 256
     bundle = build_models(ModelConfig(), seed=0)
     enc, dec, lat = bundle.encoder, bundle.decoder, bundle.latent
@@ -207,19 +249,21 @@ def test_train_step_memory_is_bounded_by_the_layouts():
     finally:
         tracemalloc.stop()
 
-    f8 = 8  # bytes per float64
+    f8, f4 = 8, 4  # bytes per float64, float32
     accumulators = f8 * (enc.n_params + dec.n_params + lat.n_params)
     adam_temporaries = 2 * f8 * max(enc.n_params, dec.n_params, lat.n_params)
-    # hs, sigs and acts: 3 n_blocks + 1 arrays of (N, width)
-    decoder_cache = f8 * n * dec.width * (3 * dec.n_blocks + 1)
+    decoder_weights = f4 * dec.n_params
+    # hs, sigs and acts: 3 n_blocks + 1 float32 arrays of (N, width)
+    decoder_cache = f4 * n * dec.width * (3 * dec.n_blocks + 1)
     # pts, s1, h1, s2, h2, s3, h3 at no more than feature_width pooled rows
     fw = enc.feature_width
     encoder_cache = f8 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
     # dh, dpre, the SiLU slope and one matmul result during the backward pass
-    working_rows = 4 * f8 * n * dec.width
+    working_rows = 4 * f4 * n * dec.width
     bound = (
         accumulators
-        + max(adam_temporaries, decoder_cache + encoder_cache + working_rows)
+        + max(adam_temporaries,
+              decoder_weights + decoder_cache + encoder_cache + working_rows)
         + 2**20  # small objects
     )
     assert peak <= bound, (peak, bound)
