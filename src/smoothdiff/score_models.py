@@ -10,13 +10,16 @@ latent code joining every block, the latent prior runs its code as a single
 row with no conditioning. The time embedding and the code are the same in
 every row, so their products with the input and block weights are formed
 once per call as width-long vectors. SiLU takes its sigmoid as
-0.5 + 0.5 tanh(x / 2). A forward pass returns its cache, (state, time
-embedding, code, block inputs h, sigmoids, SiLU outputs, the weight
-vector it ran on): backward reads the parameter gradients from it, and
-input_vjp reuses the one the sampler kept from its score evaluation.
-evaluate needs only the score, so it runs forward with keep=False: no
-cache, two row buffers reused across the blocks, and the same outputs bit
-for bit.
+0.5 + 0.5 tanh(x / 2). A forward pass keeps one of three caches, and
+gives the same scores bit for bit with each. keep=True, training's pass,
+keeps backward's: (state, time embedding, code, block inputs h, sigmoids,
+SiLU outputs, the weight vector it ran on), 3 n_blocks + 1 row arrays.
+keep="vjp" keeps only what input_vjp reads, each block's sigmoids and
+SiLU outputs and the weight vector, 2 n_blocks row arrays, and updates h
+in place; step_scorer passes it on a guided exact-chain step, whose
+input_vjp reuses that cache, and input_vjp passes it when given no cache.
+keep=False, evaluate's pass, keeps nothing and reuses two row buffers
+across the blocks.
 
 Precision. One rule: forward runs its rows in the dtype of the weights it
 is given (params=, self.params by default), and its cache names those
@@ -88,20 +91,26 @@ def time_embedding(t, dim):
 
 
 class _Layout:
-    """Registry of named parameter slots inside one flat vector."""
+    """Registry of named parameter slots inside one flat vector.
+
+    slots maps each name to (offset, shape); the sizes are kept beside them
+    so that view, called a few times per forward pass, computes none.
+    """
 
     def __init__(self):
         self.slots = {}
+        self._sizes = {}
         self.size = 0
 
     def add(self, name, shape):
         n = int(np.prod(shape))
         self.slots[name] = (self.size, shape)
+        self._sizes[name] = n
         self.size += n
 
     def view(self, params, name):
         off, shape = self.slots[name]
-        return params[off : off + int(np.prod(shape))].reshape(shape)
+        return params[off : off + self._sizes[name]].reshape(shape)
 
 
 def _make_params(layout, params, rng, zero_names=()):
@@ -119,12 +128,12 @@ def _make_params(layout, params, rng, zero_names=()):
         return params.copy()
     rng = rng if rng is not None else np.random.default_rng(0)
     params = np.zeros(layout.size)
-    for name, (off, shape) in layout.slots.items():
+    for name, (_, shape) in layout.slots.items():
         if name in zero_names or len(shape) == 1:
             continue
-        fan_in = shape[1]
-        block = rng.standard_normal(shape) / np.sqrt(fan_in)
-        params[off : off + block.size] = block.ravel()
+        slot = layout.view(params, name)
+        rng.standard_normal(out=slot)
+        slot /= np.sqrt(shape[1])  # fan_in
     return params
 
 
@@ -289,13 +298,20 @@ class _ResidualMlp(ScoreField):
         (self.params by default), and the row arrays take its dtype. The
         row-constant terms and out_b are formed in float64 from self.params
         and cast to that dtype, and the scores come back in float64; on
-        float64 weights every cast is a no-op. The cache ends with params,
-        so that _input_vjp_rows runs on the weights the forward ran on. With
-        keep=False the cache is None: the blocks reuse one act and one sig
-        buffer and update h in place, in the same order of operations.
+        float64 weights every cast is a no-op. keep names the cache: True
+        keeps backward's (state, time embedding, code, block inputs hs,
+        sigmoids, SiLU outputs, weights); "vjp" keeps only what
+        _input_vjp_rows reads, (sigmoids, SiLU outputs, weights), and
+        updates h in place; False keeps nothing and also reuses one act and
+        one sig buffer across the blocks. Either cache ends with the weights,
+        so that the passes on it run on the weights the forward ran on. The
+        three give the same scores bit for bit: h + W2 a and W2 a + h round
+        alike.
         """
         p = self.params if params is None else params
         sd, w, dtype = self.state_dim, self.width, p.dtype
+        full = bool(keep) and keep != "vjp"  # backward's cache
+        reuse = not keep
 
         def row_weights(name):
             return self.layout.view(p, name)
@@ -304,25 +320,30 @@ class _ResidualMlp(ScoreField):
         h = state.astype(dtype, copy=False) @ row_weights("in_w")[:, :sd].T
         h += (self._p("in_w")[:, sd:] @ temb + self._p("in_b")).astype(dtype, copy=False)
         hs, sigs, acts = [h], [], []
-        act = sig = None
+        act = sig = prod = None
         for k in range(self.n_blocks):
             w1, w2 = row_weights(f"b{k}_w1"), row_weights(f"b{k}_w2")
-            act = np.matmul(h, w1[:, :w].T, out=None if keep else act)
+            act = np.matmul(h, w1[:, :w].T, out=act if reuse else None)
             const = self._p(f"b{k}_w1")[:, w:] @ code + self._p(f"b{k}_b1")
             act += const.astype(dtype, copy=False)
-            sig = _silu_inplace(act, out=None if keep else sig)
+            sig = _silu_inplace(act, out=sig if reuse else None)
             if keep:
                 sigs.append(sig)
                 acts.append(act)
+            if full:
                 h = act @ w2.T
                 h += hs[-1]
                 hs.append(h)
             else:
-                h += np.matmul(act, w2.T, out=sig)
+                # With no cache the sigmoid buffer is free to take the product.
+                prod = np.matmul(act, w2.T, out=sig if reuse else prod)
+                h += prod
             h += row_weights(f"b{k}_b2")
         out = (h @ row_weights("out_w").T).astype(np.float64, copy=False)
         out += self._p("out_b")
-        return out, ((state, temb, code, hs, sigs, acts, p) if keep else None)
+        if full:
+            return out, (state, temb, code, hs, sigs, acts, p)
+        return out, ((sigs, acts, p) if keep else None)
 
     def _backward_rows(self, cache, upstream, out=None):
         """Backprop an (R, state_dim) upstream gradient.
@@ -377,9 +398,10 @@ class _ResidualMlp(ScoreField):
     def _input_vjp_rows(self, cache, upstream):
         """d/d state rows of an (R, state_dim) upstream; no parameter gradient.
 
-        Runs in the dtype of the weights the cache names and returns float64.
+        Reads the sigmoids, SiLU outputs and weights that end either kind of
+        cache. Runs in the dtype of those weights and returns float64.
         """
-        _, _, _, _, sigs, acts, p = cache
+        sigs, acts, p = cache[-3:]
         w = self.width
 
         def weights(name):
@@ -403,22 +425,24 @@ class _ResidualMlp(ScoreField):
     def step_scorer(self):
         """The forward pass on a float32 copy of the parameters, for both kinds of step.
 
-        keep=False runs the cache-free pass; keep=True keeps a cache that
-        names the float32 weights, for input_vjp. The copy is made here,
-        once per reverse chain, so an in-place update of self.params (an
-        Adam step) is never read stale, and it is dropped with the returned
-        function.
+        keep=False runs the cache-free pass; keep=True keeps, for input_vjp,
+        only the rows it reads (each block's sigmoids and SiLU outputs) and
+        the float32 weights; backward needs forward's cache. The copy is made
+        here, once per reverse chain, so an in-place update of self.params
+        (an Adam step) is never read stale, and it is dropped with the
+        returned function.
         """
         weights = self.params.astype(np.float32)
 
         def score(xt, z, t, keep=False):
-            return self._field_forward(xt, z, t, keep=keep, params=weights)
+            return self._field_forward(xt, z, t, keep="vjp" if keep else False,
+                                       params=weights)
 
         return score
 
     def input_vjp(self, xt, z, t, upstream, cache=None):
         if cache is None:
-            cache = self._field_forward(xt, z, t)[1]
+            cache = self._field_forward(xt, z, t, keep="vjp")[1]
         upstream = np.asarray(upstream, dtype=np.float64)
         rows = self._input_vjp_rows(cache, np.atleast_2d(upstream))
         return rows.reshape(upstream.shape)
@@ -439,6 +463,11 @@ class MlpScoreNet(_ResidualMlp):
                          state_dim=3, cond_dim=latent_dim)
 
     def forward(self, xt, z, t, keep=True, params=None):
+        """(score, cache) at xt on params (self.params by default).
+
+        keep=True keeps backward's cache, keep=False none; step_scorer and
+        input_vjp pass keep="vjp" for the smaller cache input_vjp reads.
+        """
         xt = np.asarray(xt, dtype=np.float64)
         if xt.ndim != 2 or xt.shape[1] != 3:
             raise InvalidInputError(f"xt must be (N, 3), got {xt.shape}")
@@ -452,7 +481,7 @@ class MlpScoreNet(_ResidualMlp):
         return self._forward_rows(xt, z, t, keep, params)
 
     def backward(self, cache, upstream, out=None):
-        """Backprop an (N, 3) upstream gradient.
+        """Backprop an (N, 3) upstream gradient through a keep=True cache.
 
         Returns (flat parameter gradient, d/d xt, d/d z); the parameter
         gradient is added into out when one is given.
@@ -575,6 +604,7 @@ class LatentScoreNet(_ResidualMlp):
                          state_dim=latent_dim, cond_dim=0)
 
     def forward(self, zt, t, keep=True, params=None):
+        """(score, cache) at zt; keep as for MlpScoreNet.forward."""
         zt = np.asarray(zt, dtype=np.float64)
         if zt.shape != (self.latent_dim,):
             raise InvalidInputError(
@@ -584,9 +614,10 @@ class LatentScoreNet(_ResidualMlp):
         return out[0], cache
 
     def backward(self, cache, upstream, out=None):
-        """Backprop a (d,) upstream gradient; returns (flat grads, d/d zt).
+        """Backprop a (d,) upstream gradient through a keep=True cache.
 
-        The flat gradient is added into out when one is given.
+        Returns (flat grads, d/d zt); the flat gradient is added into out
+        when one is given.
         """
         upstream = np.asarray(upstream, dtype=np.float64)
         g, dzt, _ = self._backward_rows(cache, upstream[None, :], out)

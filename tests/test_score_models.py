@@ -251,8 +251,8 @@ def test_evaluate_runs_the_cache_free_forward(desk_nets, n, t):
 def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
     # the float32 passes against the float64 evaluate, input_vjp and backward
     # they stand in for: keep=False on every chain step, keep=True with the
-    # VJP on its cache on guided exact steps, and backward on such a cache
-    # as training runs it
+    # VJP on its cache on guided exact steps, and backward on a float32
+    # forward(keep=True) cache as training runs it
     dec, lat = desk_nets
     gen = np.random.default_rng(n)
     xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
@@ -273,10 +273,35 @@ def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
         assert_close(net.input_vjp(*args, up, cache=cache), net.input_vjp(*args, up))
         # (parameter gradient, d/d state[, d/d code]) against the float64 cache's
         want = net.backward(net._field_forward(*args)[1], up)
-        got = net.backward(cache, up)
+        got = net.backward(net._field_forward(*args, params=cache[-1])[1], up)
         assert len(got) == len(want) == (3 if net is dec else 2)
         for g, w in zip(got, want):
             assert_close(g, w)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_step_scorer_keeps_only_the_rows_input_vjp_reads(desk_nets, n):
+    # a guided step's cache holds each block's sigmoids and SiLU outputs and
+    # the float32 weights, and no block inputs; input_vjp on it is input_vjp
+    # on the float32 forward(keep=True) cache that training keeps, bit for bit
+    dec, lat = desk_nets
+    gen = np.random.default_rng(n + 1)
+    xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
+    v, u = gen.standard_normal((n, 3)), gen.standard_normal(64)
+    for net, args, up, rows in ((dec, (xt, z, 0.3), v, n), (lat, (zt, None, 0.3), u, 1)):
+        score, cache = net.step_scorer()(*args, keep=True)
+        sigs, acts, weights = cache
+        assert weights.dtype == np.float32 and weights.shape == (net.n_params,)
+        assert len(sigs) == len(acts) == net.n_blocks
+        for a in sigs + acts:
+            assert a.dtype == np.float32 and a.shape == (rows, net.width)
+        full_score, full = net._field_forward(*args, params=weights)
+        assert len(full) == 7 and len(full[3]) == net.n_blocks + 1
+        assert np.array_equal(score, full_score)
+        for kept, ran in zip(sigs + acts, full[4] + full[5]):
+            assert np.array_equal(kept, ran)
+        assert np.array_equal(net.input_vjp(*args, up, cache=cache),
+                              net.input_vjp(*args, up, cache=full))
 
 
 def test_silu_sigmoid_matches_expit():

@@ -1,6 +1,7 @@
 """Training losses, optimizer behavior, and the epoch loop."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from smoothdiff import (
 )
 from smoothdiff.score_models import reparameterize
 from smoothdiff.training import (
+    _ADAM_BLOCK,
+    _TRAIN_ROWS,
     Adam,
     LossReport,
     _cloud_losses,
+    _dsm,
     lr_factor,
     make_optimizers,
     train_step,
@@ -103,6 +107,36 @@ def test_loss_report_total():
     assert rep.total == pytest.approx(1.5 + 0.25 - 2.0)
 
 
+def test_dsm_scores_row_blocks_one_cache_at_a_time():
+    """_dsm scores a cloud in row blocks and runs each block's backward before
+    the next block's score, so no earlier cache is alive then; with a score
+    that is element-wise in the rows, the loss and the upstream rows equal
+    those of the whole-cloud pass bit for bit."""
+    gen = np.random.default_rng(19)
+    n = 2 * _TRAIN_ROWS + 76
+    x0, noise = gen.standard_normal((n, 3)), gen.standard_normal((n, 3))
+    alive = []
+
+    class Cache:
+        pass
+
+    def score(xt):
+        assert all(ref() is None for ref in alive)
+        cache = Cache()
+        alive.append(weakref.ref(cache))
+        return xt * xt - 0.5 * xt, cache
+
+    def backward(cache, ds):
+        return ds.copy()
+
+    loss, blocks = _dsm(score, x0, 0.37, noise, SCHEDULE, backward, _TRAIN_ROWS)
+    assert [len(b) for b in blocks] == [_TRAIN_ROWS, _TRAIN_ROWS, 76]
+    alive.clear()
+    whole_loss, (whole,) = _dsm(score, x0, 0.37, noise, SCHEDULE, backward)
+    assert loss == whole_loss
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
 # --------------------------------------------------------------- gradient
 
 
@@ -112,39 +146,45 @@ def _zero_grads(bundle):
 
 def test_cloud_losses_gradient_matches_fd(tiny_bundle):
     """End-to-end check: the flat gradients returned by the forward/backward
-    pass equal finite differences of (recon + latent - entropy)."""
+    pass equal finite differences of (recon + latent - entropy), on a small
+    cloud and on one the decoder runs in row blocks with a ragged last one."""
     rng = np.random.default_rng(77)
-    points = rng.standard_normal((6, 3))
-    t_val = 0.43
-    eps_z = rng.standard_normal(6)
-    noise_x = rng.standard_normal((6, 3))
-    noise_z = rng.standard_normal(6)
     cfg = TrainConfig()
+    for n in (6, _TRAIN_ROWS + 37):
+        points = rng.standard_normal((n, 3))
+        t_val = 0.43
+        eps_z = rng.standard_normal(6)
+        noise_x = rng.standard_normal((n, 3))
+        noise_z = rng.standard_normal(6)
 
-    def total_for(name):
-        def f(params):
-            getattr(tiny_bundle, name).params[:] = params
-            lx, lz, ent = _cloud_losses(
-                tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z]),
-                _zero_grads(tiny_bundle),
-            )
-            return lx + lz - ent
+        def total_for(name):
+            def f(params):
+                getattr(tiny_bundle, name).params[:] = params
+                lx, lz, ent = _cloud_losses(
+                    tiny_bundle, points, SCHEDULE, cfg,
+                    FixedRng(t_val, [eps_z, noise_x, noise_z]), _zero_grads(tiny_bundle),
+                )
+                return lx + lz - ent
 
-        return f
+            return f
 
-    g_enc, g_dec, g_lat = _zero_grads(tiny_bundle)
-    lx, lz, ent = _cloud_losses(
-        tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z]),
-        (g_enc, g_dec, g_lat),
-    )
-    assert np.isfinite([lx, lz, ent]).all()
+        g_enc, g_dec, g_lat = _zero_grads(tiny_bundle)
+        lx, lz, ent = _cloud_losses(
+            tiny_bundle, points, SCHEDULE, cfg, FixedRng(t_val, [eps_z, noise_x, noise_z]),
+            (g_enc, g_dec, g_lat),
+        )
+        assert np.isfinite([lx, lz, ent]).all()
 
-    for name, grad in (("encoder", g_enc), ("decoder", g_dec), ("latent", g_lat)):
-        net = getattr(tiny_bundle, name)
-        base = net.params.copy()
-        fd = numeric_grad(total_for(name), base.copy(), eps=1e-6)
-        net.params[:] = base
-        assert np.max(np.abs(grad - fd)) < 2e-6, name
+        checked = (("encoder", g_enc), ("decoder", g_dec), ("latent", g_lat))
+        if n > _TRAIN_ROWS:
+            # the latent net's gradient does not pass through the decoder
+            checked = checked[:2]
+        for name, grad in checked:
+            net = getattr(tiny_bundle, name)
+            base = net.params.copy()
+            fd = numeric_grad(total_for(name), base.copy(), eps=1e-6)
+            net.params[:] = base
+            assert np.max(np.abs(grad - fd)) < 2e-6, (n, name)
 
 
 def test_training_runs_the_decoder_on_a_float32_copy(monkeypatch):
@@ -229,44 +269,52 @@ def test_cloud_losses_add_into_the_buffers(tiny_bundle):
 
 
 def test_train_step_memory_is_bounded_by_the_layouts():
-    """A desk-sized step holds no per-cloud gradient copy and no full-cloud
-    encoder state, and drops the decoder's float32 weights before Adam: its
-    traced peak stays within the gradient buffers plus the larger of Adam's
-    two step temporaries and the float32 weights with one cloud's caches."""
-    n = 256
-    bundle = build_models(ModelConfig(), seed=0)
-    enc, dec, lat = bundle.encoder, bundle.decoder, bundle.latent
-    cfg = TrainConfig(batch_size=2)
-    opts = make_optimizers(bundle, cfg)
-    gen = np.random.default_rng(0)
-    batch = [0.5 * gen.standard_normal((n, 3)) for _ in range(2)]
-    train_step(bundle, batch, SCHEDULE, cfg, gen, opts)  # warm up
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        train_step(bundle, batch, SCHEDULE, cfg, gen, opts)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    """A desk-net step holds no per-cloud gradient copy and no full-cloud
+    encoder or decoder cache, runs Adam in blocks, and drops the decoder's
+    float32 weights before Adam: its traced peak stays within the gradient
+    buffers plus the larger of Adam's two block temporaries and the float32
+    weights with either the encoder's forward or one row block's decoder
+    caches. At N=2048 the encoder's full-cloud forward sets the peak; a
+    whole-cloud decoder cache (38 MB) would not fit."""
+    for n in (256, 2048):
+        bundle = build_models(ModelConfig(), seed=0)
+        enc, dec, lat = bundle.encoder, bundle.decoder, bundle.latent
+        cfg = TrainConfig(batch_size=2)
+        opts = make_optimizers(bundle, cfg)
+        gen = np.random.default_rng(0)
+        batch = [0.5 * gen.standard_normal((n, 3)) for _ in range(2)]
+        train_step(bundle, batch, SCHEDULE, cfg, gen, opts)  # warm up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_step(bundle, batch, SCHEDULE, cfg, gen, opts)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
 
-    f8, f4 = 8, 4  # bytes per float64, float32
-    accumulators = f8 * (enc.n_params + dec.n_params + lat.n_params)
-    adam_temporaries = 2 * f8 * max(enc.n_params, dec.n_params, lat.n_params)
-    decoder_weights = f4 * dec.n_params
-    # hs, sigs and acts: 3 n_blocks + 1 float32 arrays of (N, width)
-    decoder_cache = f4 * n * dec.width * (3 * dec.n_blocks + 1)
-    # pts, s1, h1, s2, h2, s3, h3 at no more than feature_width pooled rows
-    fw = enc.feature_width
-    encoder_cache = f8 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
-    # dh, dpre, the SiLU slope and one matmul result during the backward pass
-    working_rows = 4 * f4 * n * dec.width
-    bound = (
-        accumulators
-        + max(adam_temporaries,
-              decoder_weights + decoder_cache + encoder_cache + working_rows)
-        + 2**20  # small objects
-    )
-    assert peak <= bound, (peak, bound)
+        f8, f4 = 8, 4  # bytes per float64, float32
+        rows = min(n, _TRAIN_ROWS)
+        accumulators = f8 * (enc.n_params + dec.n_params + lat.n_params)
+        adam_temporaries = 2 * f8 * _ADAM_BLOCK
+        decoder_weights = f4 * dec.n_params
+        # hs, sigs and acts: 3 n_blocks + 1 float32 arrays of one row block
+        decoder_cache = f4 * rows * dec.width * (3 * dec.n_blocks + 1)
+        # dh, dpre, the SiLU slope and one matmul result during the backward pass
+        working_rows = 4 * f4 * rows * dec.width
+        # pts, s1, h1, s2, h2, s3, h3 at no more than feature_width pooled rows
+        fw = enc.feature_width
+        encoder_cache = f8 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
+        # the encoder's forward over every point: h1, s1, h2, s2, h3, s3 and
+        # the copy of h3 that its argmax over the points axis makes
+        encoder_forward = f8 * n * (2 * (fw // 2) + 5 * fw)
+        bound = (
+            accumulators
+            + max(adam_temporaries,
+                  decoder_weights
+                  + max(encoder_forward, decoder_cache + encoder_cache + working_rows))
+            + 2**20  # small objects
+        )
+        assert peak <= bound, (n, peak, bound)
 
 
 # ------------------------------------------------------------- optimizer
@@ -296,22 +344,42 @@ def test_adam_lr_scale_and_zero_lr():
 
 def test_adam_in_place_step_equals_the_formula():
     # the in-place update rounds each element as the textbook expressions do
-    gen = np.random.default_rng(7)
-    n = 10_000
-    opt = Adam(n_params=n, lr=3e-3, beta1=0.8, beta2=0.99)
-    params = gen.standard_normal(n)
-    ref_p, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
-    for t, scale in enumerate((1.0, 0.7, 0.25, 1.0, 0.05), start=1):
-        grad = gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 2, n)
-        opt.step(params, grad, lr_scale=scale)
-        ref_m = opt.beta1 * ref_m + (1.0 - opt.beta1) * grad
-        ref_v = opt.beta2 * ref_v + (1.0 - opt.beta2) * grad * grad
-        m_hat = ref_m / (1.0 - opt.beta1 ** t)
-        v_hat = ref_v / (1.0 - opt.beta2 ** t)
-        ref_p -= (opt.lr * scale) * m_hat / (np.sqrt(v_hat) + opt.eps)
-        assert np.array_equal(opt.m, ref_m)
-        assert np.array_equal(opt.v, ref_v)
-        assert np.array_equal(params, ref_p)
+    # on the whole vector, within one block and over several blocks with a
+    # ragged tail
+    for n in (10_000, 3 * _ADAM_BLOCK + 1234):
+        gen = np.random.default_rng(7)
+        opt = Adam(n_params=n, lr=3e-3, beta1=0.8, beta2=0.99)
+        params = gen.standard_normal(n)
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
+        for t, scale in enumerate((1.0, 0.7, 0.25, 1.0, 0.05), start=1):
+            grad = gen.standard_normal(n) * 10.0 ** gen.uniform(-6, 2, n)
+            opt.step(params, grad, lr_scale=scale)
+            ref_m = opt.beta1 * ref_m + (1.0 - opt.beta1) * grad
+            ref_v = opt.beta2 * ref_v + (1.0 - opt.beta2) * grad * grad
+            m_hat = ref_m / (1.0 - opt.beta1 ** t)
+            v_hat = ref_v / (1.0 - opt.beta2 ** t)
+            ref_p -= (opt.lr * scale) * m_hat / (np.sqrt(v_hat) + opt.eps)
+            assert np.array_equal(opt.m, ref_m)
+            assert np.array_equal(opt.v, ref_v)
+            assert np.array_equal(params, ref_p)
+
+
+def test_adam_step_memory_is_a_few_blocks():
+    # a step over a vector of many blocks allocates two block-sized
+    # temporaries, not vector-sized ones
+    n = 40 * _ADAM_BLOCK + 5
+    gen = np.random.default_rng(3)
+    opt = Adam(n_params=n, lr=1e-3)
+    params, grad = gen.standard_normal(n), gen.standard_normal(n)
+    opt.step(params, grad)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        opt.step(params, grad, lr_scale=0.5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _ADAM_BLOCK, peak
 
 
 def test_lr_factor_schedule():
