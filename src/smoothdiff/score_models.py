@@ -10,16 +10,18 @@ latent code joining every block, the latent prior runs its code as a single
 row with no conditioning. The time embedding and the code are the same in
 every row, so their products with the input and block weights are formed
 once per call as width-long vectors. SiLU takes its sigmoid as
-0.5 + 0.5 tanh(x / 2). A forward pass keeps one of three caches, and
-gives the same scores bit for bit with each. keep=True, training's pass,
-keeps backward's: (state, time embedding, code, block inputs h, sigmoids,
-SiLU outputs, the weight vector it ran on), 3 n_blocks + 1 row arrays.
-keep="vjp" keeps only what input_vjp reads, each block's sigmoids and
-SiLU outputs and the weight vector, 2 n_blocks row arrays, and updates h
-in place; step_scorer passes it on a guided exact-chain step, whose
-input_vjp reuses that cache, and input_vjp passes it when given no cache.
-keep=False, evaluate's pass, keeps nothing and reuses two row buffers
-across the blocks.
+0.5 + 0.5 tanh(x / 2), and a forward pass takes each block's SiLU slope
+s + a (1 - s) from its sigmoid s and SiLU output a as soon as it forms
+them, so that no cache keeps the sigmoids. A forward pass keeps one of
+three caches, and gives the same scores bit for bit with each. keep=True,
+training's pass, keeps backward's: (state, time embedding, code, block
+inputs h, SiLU outputs, SiLU slopes, the weight vector it ran on),
+3 n_blocks + 1 row arrays. keep="vjp" keeps only what input_vjp reads, each
+block's SiLU slope and the weight vector, n_blocks row arrays; step_scorer
+passes it on a guided exact-chain step, whose input_vjp reuses that cache,
+and input_vjp passes it when given no cache. keep=False, evaluate's pass,
+keeps nothing. Both "vjp" and False update h in place and reuse two row
+buffers across the blocks.
 
 Precision. One rule: forward runs its rows in the dtype of the weights it
 is given (params=, self.params by default), and its cache names those
@@ -29,23 +31,28 @@ gradients and d/d code) are formed in float64 from self.params, and scores
 and gradients come back as float64; on float64 weights every cast is a
 no-op. Two callers pass a float32 copy. The reverse chain scores every step
 with step_scorer, cast once per chain, and a guided exact-chain step hands
-that forward's cache to input_vjp. Training casts the decoder's parameters
-once per batch and backpropagates through its float32 caches into float64
-gradient buffers. Everything else is float64: evaluate, input_vjp without
-a cache, backward on a float64 cache, and the encoder. Finite-difference
-checks difference evaluate, the exact-chain gradient of
+that forward's cache to input_vjp. Training casts the decoder's and the
+encoder's parameters once per batch and backpropagates through their
+float32 caches into float64 gradient buffers. The encoder follows the same
+rule: its three per-point layers, its max pool's argmax and its cached rows
+run in the dtype of its weights, while the pooled feature, the two heads,
+mean and logvar are float64, formed from self.params. Everything else is
+float64: evaluate, input_vjp without a cache, backward on a float64 cache,
+and an encoder forward given no weights. Finite-difference checks
+difference evaluate, the exact-chain gradient of
 sampler.constraint_gradient called without a score, and the float64
 training losses, at steps float32 rounding would swamp.
 
 The encoder's max pool reads one row per feature, so its cache is (pts, s1,
 h1, s2, h2, s3, h3) at the pooled rows only, at most min(N, feature_width)
-of them, with each feature's index into those rows, the pooled feature and
-the unclipped log-variance; its backward pass runs on those rows. All
-parameters live in flat float64 vectors and every network implements
-explicit reverse-mode backprop, so gradients are checkable against finite
-differences without a framework dependency. Each backward pass adds its
-parameter gradient into a caller's flat buffer when given one as out
-(training sums a batch that way), and into a fresh zero vector otherwise.
+of them, with each feature's index into those rows, the pooled feature, the
+unclipped log-variance and the weights; its backward pass runs on those
+rows. All parameters live in flat float64 vectors and every network
+implements explicit reverse-mode backprop, so gradients are checkable
+against finite differences without a framework dependency. Each backward
+pass adds its parameter gradient into a caller's flat buffer when given one
+as out (training sums a batch that way), and into a fresh zero vector
+otherwise.
 """
 
 import abc
@@ -298,20 +305,21 @@ class _ResidualMlp(ScoreField):
         (self.params by default), and the row arrays take its dtype. The
         row-constant terms and out_b are formed in float64 from self.params
         and cast to that dtype, and the scores come back in float64; on
-        float64 weights every cast is a no-op. keep names the cache: True
-        keeps backward's (state, time embedding, code, block inputs hs,
-        sigmoids, SiLU outputs, weights); "vjp" keeps only what
-        _input_vjp_rows reads, (sigmoids, SiLU outputs, weights), and
-        updates h in place; False keeps nothing and also reuses one act and
-        one sig buffer across the blocks. Either cache ends with the weights,
-        so that the passes on it run on the weights the forward ran on. The
+        float64 weights every cast is a no-op. Each block's SiLU slope
+        s + a (1 - s) is taken by _silu_slope as soon as its sigmoid s and
+        SiLU output a are formed, so no cache keeps the sigmoids. keep names
+        the cache: True keeps backward's (state, time embedding, code, block
+        inputs hs, SiLU outputs, slopes, weights); "vjp" keeps only what
+        _input_vjp_rows reads, (slopes, weights); False keeps nothing. Both
+        "vjp" and False update h in place and reuse one act and one sig
+        buffer across the blocks. Either cache ends with the weights, so
+        that the passes on it run on the weights the forward ran on. The
         three give the same scores bit for bit: h + W2 a and W2 a + h round
         alike.
         """
         p = self.params if params is None else params
         sd, w, dtype = self.state_dim, self.width, p.dtype
         full = bool(keep) and keep != "vjp"  # backward's cache
-        reuse = not keep
 
         def row_weights(name):
             return self.layout.view(p, name)
@@ -319,31 +327,30 @@ class _ResidualMlp(ScoreField):
         temb = time_embedding(t, self.temb_dim)
         h = state.astype(dtype, copy=False) @ row_weights("in_w")[:, :sd].T
         h += (self._p("in_w")[:, sd:] @ temb + self._p("in_b")).astype(dtype, copy=False)
-        hs, sigs, acts = [h], [], []
-        act = sig = prod = None
+        hs, acts, slopes = [h], [], []
+        act = sig = None
         for k in range(self.n_blocks):
             w1, w2 = row_weights(f"b{k}_w1"), row_weights(f"b{k}_w2")
-            act = np.matmul(h, w1[:, :w].T, out=act if reuse else None)
+            act = np.matmul(h, w1[:, :w].T, out=None if full else act)
             const = self._p(f"b{k}_w1")[:, w:] @ code + self._p(f"b{k}_b1")
             act += const.astype(dtype, copy=False)
-            sig = _silu_inplace(act, out=sig if reuse else None)
+            sig = _silu_inplace(act, out=sig)
             if keep:
-                sigs.append(sig)
-                acts.append(act)
+                slopes.append(_silu_slope(sig, act))
             if full:
+                acts.append(act)
                 h = act @ w2.T
                 h += hs[-1]
                 hs.append(h)
             else:
-                # With no cache the sigmoid buffer is free to take the product.
-                prod = np.matmul(act, w2.T, out=sig if reuse else prod)
-                h += prod
+                # The sigmoid buffer is free once the slope, if kept, is taken.
+                h += np.matmul(act, w2.T, out=sig)
             h += row_weights(f"b{k}_b2")
         out = (h @ row_weights("out_w").T).astype(np.float64, copy=False)
         out += self._p("out_b")
         if full:
-            return out, (state, temb, code, hs, sigs, acts, p)
-        return out, ((sigs, acts, p) if keep else None)
+            return out, (state, temb, code, hs, acts, slopes, p)
+        return out, ((slopes, p) if keep else None)
 
     def _backward_rows(self, cache, upstream, out=None):
         """Backprop an (R, state_dim) upstream gradient.
@@ -356,7 +363,7 @@ class _ResidualMlp(ScoreField):
         time-embedding and code gradients are formed in float64 from
         self.params, and the gradients come back in float64.
         """
-        state, temb, code, hs, sigs, acts, p = cache
+        state, temb, code, hs, acts, slopes, p = cache
         sd, w, dtype = self.state_dim, self.width, p.dtype
         g = np.zeros(self.layout.size) if out is None else out
 
@@ -379,7 +386,7 @@ class _ResidualMlp(ScoreField):
             add(f"b{k}_b2", dh.sum(axis=0))
             add(f"b{k}_w2", dh.T @ acts[k])
             dpre = dh @ weights(f"b{k}_w2")
-            dpre *= _silu_slope(sigs[k], acts[k])
+            dpre *= slopes[k]
             dpre_sum = dpre.sum(axis=0)
             add(f"b{k}_b1", dpre_sum)
             gw1 = grad(f"b{k}_w1")
@@ -398,10 +405,10 @@ class _ResidualMlp(ScoreField):
     def _input_vjp_rows(self, cache, upstream):
         """d/d state rows of an (R, state_dim) upstream; no parameter gradient.
 
-        Reads the sigmoids, SiLU outputs and weights that end either kind of
-        cache. Runs in the dtype of those weights and returns float64.
+        Reads the SiLU slopes and weights that end either kind of cache. Runs
+        in the dtype of those weights and returns float64.
         """
-        sigs, acts, p = cache[-3:]
+        slopes, p = cache[-2:]
         w = self.width
 
         def weights(name):
@@ -410,7 +417,7 @@ class _ResidualMlp(ScoreField):
         dh = upstream.astype(p.dtype, copy=False) @ weights("out_w")
         for k in reversed(range(self.n_blocks)):
             dpre = dh @ weights(f"b{k}_w2")
-            dpre *= _silu_slope(sigs[k], acts[k])
+            dpre *= slopes[k]
             dh += dpre @ weights(f"b{k}_w1")[:, :w]
         rows = dh @ weights("in_w")[:, : self.state_dim]
         return rows.astype(np.float64, copy=False)
@@ -426,8 +433,8 @@ class _ResidualMlp(ScoreField):
         """The forward pass on a float32 copy of the parameters, for both kinds of step.
 
         keep=False runs the cache-free pass; keep=True keeps, for input_vjp,
-        only the rows it reads (each block's sigmoids and SiLU outputs) and
-        the float32 weights; backward needs forward's cache. The copy is made
+        only the rows it reads (each block's SiLU slopes) and the float32
+        weights; backward needs forward's cache. The copy is made
         here, once per reverse chain, so an in-place update of self.params
         (an Adam step) is never read stale, and it is dropped with the
         returned function.
@@ -527,40 +534,53 @@ class PointEncoder:
     def _p(self, name):
         return self.layout.view(self.params, name)
 
-    def forward(self, points):
+    def forward(self, points, params=None):
         """(mean, logvar, cache) of q(z | points).
 
-        The max pool reads one row per feature, so the cache keeps only the
-        rows it picked: pts, s1, h1, s2, h2, s3, h3 at those rows (sorted,
-        at most min(N, feature_width) of them), then each feature's index
-        into those rows, the pooled feature and the unclipped log-variance.
+        The three per-point layers, the max pool's argmax (ties go to the
+        lowest index) and the cached rows run in the dtype of params, a flat
+        vector in self.layout (self.params by default). The pooled feature,
+        the heads, mean and logvar are float64, formed from self.params; on
+        float64 weights every cast is a no-op. The max pool reads one row
+        per feature, so the cache keeps only the rows it picked: pts, s1,
+        h1, s2, h2, s3, h3 at those rows (sorted, at most min(N,
+        feature_width) of them), then each feature's index into those rows,
+        the pooled feature, the unclipped log-variance and the weights.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"points must be (N, 3), got {pts.shape}")
-        h1 = pts @ self._p("w1").T + self._p("b1")
-        s1 = _silu_inplace(h1)
-        h2 = h1 @ self._p("w2").T + self._p("b2")
-        s2 = _silu_inplace(h2)
-        h3 = h2 @ self._p("w3").T + self._p("b3")
-        s3 = _silu_inplace(h3)
+        p = self.params if params is None else params
+        x = pts.astype(p.dtype, copy=False)
+
+        def layer(below, k):
+            # (pre-activation overwritten by SiLU, sigmoid) of layer k
+            h = below @ self.layout.view(p, f"w{k}").T
+            h += self.layout.view(p, f"b{k}")
+            return h, _silu_inplace(h)
+
+        h1, s1 = layer(x, 1)
+        h2, s2 = layer(h1, 2)
+        h3, s3 = layer(h2, 3)
         argmax = np.argmax(h3, axis=0)
-        pooled = h3[argmax, np.arange(h3.shape[1])]
+        pooled = h3[argmax, np.arange(h3.shape[1])].astype(np.float64, copy=False)
         mean = pooled @ self._p("mean_w").T + self._p("mean_b")
         raw = pooled @ self._p("logvar_w").T + self._p("logvar_b")
         logvar = np.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
         rows, inv = np.unique(argmax, return_inverse=True)
-        picked = tuple(a[rows] for a in (pts, s1, h1, s2, h2, s3, h3))
-        return mean, logvar, picked + (inv, pooled, raw)
+        picked = tuple(a[rows] for a in (x, s1, h1, s2, h2, s3, h3))
+        return mean, logvar, picked + (inv, pooled, raw, p)
 
     def backward(self, cache, dmean, dlogvar, out=None):
         """Backprop upstream gradients of (mean, logvar) to the parameters.
 
-        Runs the three layers on the pooled rows only; every other row's
-        gradient is zero. The flat gradient is added into out when one is
-        given, and into a fresh zero vector otherwise.
+        Runs the three layers on the pooled rows only, in the dtype of the
+        weights the cache names; every other row's gradient is zero. The
+        heads' gradients and d/d pooled are float64, from self.params. The
+        flat gradient is added into out when one is given, and into a fresh
+        zero vector otherwise.
         """
-        pts, s1, h1, s2, h2, s3, h3, inv, pooled, raw = cache
+        pts, s1, h1, s2, h2, s3, h3, inv, pooled, raw, p = cache
         g = np.zeros(self.layout.size) if out is None else out
 
         def add(name, value):
@@ -578,10 +598,10 @@ class PointEncoder:
         da3 = dh3 * _silu_slope(s3, h3)
         add("w3", da3.T @ h2)
         add("b3", da3.sum(axis=0))
-        da2 = (da3 @ self._p("w3")) * _silu_slope(s2, h2)
+        da2 = (da3 @ self.layout.view(p, "w3")) * _silu_slope(s2, h2)
         add("w2", da2.T @ h1)
         add("b2", da2.sum(axis=0))
-        da1 = (da2 @ self._p("w2")) * _silu_slope(s1, h1)
+        da1 = (da2 @ self.layout.view(p, "w2")) * _silu_slope(s1, h1)
         add("w1", da1.T @ pts)
         add("b1", da1.sum(axis=0))
         return g

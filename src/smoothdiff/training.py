@@ -13,20 +13,24 @@ network, each with its own learning rate.
 
 Precision. Training is mixed precision (Micikevicius et al., "Mixed
 Precision Training", ICLR 2018, with float32 in place of float16 and no
-loss scaling): each batch runs the decoder's forward and backward passes on
-a float32 copy of its parameters, made after the previous Adam step and
-dropped before the next, while the parameters, the gradient buffers and the
-Adam moments stay float64. The encoder and the latent net run in float64.
-The public recon_dsm_loss and latent_dsm_loss evaluate in float64.
+loss scaling): each batch runs the decoder's and the encoder's forward and
+backward passes on float32 copies of their parameters, made after the
+previous Adam step and dropped before the next, while the parameters, the
+gradient buffers and the Adam moments stay float64. The encoder's pooled
+feature and heads stay float64. Its float32 max pool picks its own rows,
+which on a near-tie can differ from the float64 pass's: 2 of 52,224 picks
+on the acceptance and benchmark tori. The latent net runs in float64. The
+public recon_dsm_loss and latent_dsm_loss evaluate in float64.
 
 Memory. A step holds the parameters, one gradient buffer per network and
-Adam's moments, all float64, and the decoder's float32 copy. Of a cloud it
-keeps one decoder row block at a time: _dsm scores the cloud in blocks of
-at most _TRAIN_ROWS points, each forward keeping the cache backward reads
-(block inputs, sigmoids and SiLU outputs of every residual block), and
-each backward runs and drops that cache before the next block. The
-encoder's cache keeps its pooled rows only, though its forward runs every
-point at once. Adam steps in blocks of _ADAM_BLOCK elements.
+Adam's moments, all float64, and the float32 copies of the decoder and the
+encoder. Of a cloud it keeps one decoder row block at a time: _dsm scores
+the cloud in blocks of at most _TRAIN_ROWS points, each forward keeping the
+cache backward reads (block inputs, SiLU outputs and SiLU slopes of every
+residual block), and each backward runs and drops that cache before the
+next block. The encoder's forward runs every point at once in float32, and
+its cache keeps its pooled rows only. Adam steps in blocks of _ADAM_BLOCK
+elements.
 """
 
 import csv
@@ -211,18 +215,20 @@ def entropy_term(mean, logvar):
     return 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 
 
-def _cloud_losses(bundle, points, schedule, config, rng, grads, decoder_weights=None):
+def _cloud_losses(bundle, points, schedule, config, rng, grads, decoder_weights=None,
+                  encoder_weights=None):
     """Forward and backward for one cloud; returns (recon, latent, entropy).
 
     grads is the (encoder, decoder, latent) triple of flat gradient buffers;
     each backward pass adds this cloud's parameter gradient into its buffer,
     so a batch sums its clouds' gradients with no per-cloud copy. The
-    decoder's forward, and so its backward, run on decoder_weights, a flat
-    vector in its layout (its float64 params by default), in blocks of at
-    most _TRAIN_ROWS points: each block's forward keeps backward's cache,
-    and its backward runs and drops it before the next block's forward. A
-    cloud of at most _TRAIN_ROWS points is one block, so it rounds as a
-    whole-cloud pass does.
+    decoder's forward, and so its backward, run on decoder_weights, and the
+    encoder's on encoder_weights, each a flat vector in its net's layout
+    (its float64 params by default). The decoder runs in blocks of at most
+    _TRAIN_ROWS points: each block's forward keeps backward's cache, and its
+    backward runs and drops it before the next block's forward. A cloud of
+    at most _TRAIN_ROWS points is one block, so it rounds as a whole-cloud
+    pass does.
     """
     n = points.shape[0]
     d = bundle.latent_dim
@@ -233,7 +239,7 @@ def _cloud_losses(bundle, points, schedule, config, rng, grads, decoder_weights=
     noise_x = rng.standard_normal((n, 3))
     noise_z = rng.standard_normal(d)
 
-    mean, logvar, enc_cache = bundle.encoder.forward(points)
+    mean, logvar, enc_cache = bundle.encoder.forward(points, params=encoder_weights)
     z0 = reparameterize(mean, logvar, eps_z)
     loss_x, dz_dec = _dsm(
         lambda xt: bundle.decoder.forward(xt, z0, t, params=decoder_weights),
@@ -266,9 +272,9 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     in place, and the three averages are applied with independent Adam
     states (encoder, decoder, latent), each scaled by lr_scale. The step
     holds no per-cloud parameter-sized vector, and of a cloud's decoder
-    passes one row block's cache at a time. The decoder's passes run on a
-    float32 copy of its parameters, made after the previous Adam step and
-    dropped before this one.
+    passes one row block's cache at a time. The decoder's and the encoder's
+    passes run on float32 copies of their parameters, made after the
+    previous Adam step and dropped before this one.
     """
     if len(batch) == 0:
         raise InvalidInputError("batch must contain at least one cloud")
@@ -276,11 +282,12 @@ def train_step(bundle, batch, schedule, config, rng, optimizers, lr_scale=1.0,
     sums = np.zeros(3)
     nets = (bundle.encoder, bundle.decoder, bundle.latent)
     grads = tuple(np.zeros(net.n_params) for net in nets)
-    weights = bundle.decoder.params.astype(np.float32)
+    dec_weights = bundle.decoder.params.astype(np.float32)
+    enc_weights = bundle.encoder.params.astype(np.float32)
     for cloud in batch:
         sums += _cloud_losses(bundle, _as_points(cloud), schedule, config, rng, grads,
-                              weights)
-    del weights
+                              dec_weights, enc_weights)
+    del dec_weights, enc_weights
     sums /= n_b
     if not np.all(np.isfinite(sums)):
         raise NumericalAbortError(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothdiff import DataError, InvalidInputError
-from smoothdiff.pointio import read_cloud_dir, read_xyz, write_xyz
+from smoothdiff.pointio import _fmt, read_cloud_dir, read_xyz, write_xyz
 
 
 def test_round_trip_is_bitwise(rng, tmp_path):
@@ -21,6 +21,22 @@ def test_writer_emits_plain_decimal(tmp_path):
     text = path.read_text()
     assert "e" not in text and "E" not in text
     assert text == "0.0000001 -2.5 3.0\n"
+
+
+def test_writer_lines_are_the_positional_format(rng, tmp_path):
+    # the writer takes repr's digits where repr writes no exponent, and
+    # _fmt's elsewhere: every line is the one _fmt alone writes
+    edges = [0.0, -0.0, 1e-4, 1e-5, -1e-5, 9.999999999999999e-5, 1e15,
+             9999999999999998.0, 9.999999999999999e15, 1e16, -1e16, 1e300,
+             5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    values = np.concatenate([edges, rng.standard_normal(3000),
+                             rng.standard_normal(600) * 10.0 ** rng.integers(-30, 30, 600)])
+    pts = values[: len(values) // 3 * 3].reshape(-1, 3)
+    path = tmp_path / "c.xyz"
+    write_xyz(path, pts)
+    lines = path.read_text().splitlines()
+    assert lines == [f"{_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in pts]
+    assert np.array_equal(read_xyz(path).points, pts)
 
 
 def test_reader_accepts_scientific_and_crlf(tmp_path):

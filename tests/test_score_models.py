@@ -5,6 +5,8 @@ randomized parameter vectors (fresh nets have zero-initialized output layers,
 which would make the checks vacuous).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
@@ -23,6 +25,7 @@ from smoothdiff import (
 from smoothdiff.score_models import (
     ModelBundle,
     _silu_inplace,
+    _silu_slope,
     reparameterize,
     time_embedding,
 )
@@ -281,27 +284,58 @@ def test_step_scorer_stays_close_to_evaluate(desk_nets, n, t):
 
 @pytest.mark.parametrize("n", [256, 2048])
 def test_step_scorer_keeps_only_the_rows_input_vjp_reads(desk_nets, n):
-    # a guided step's cache holds each block's sigmoids and SiLU outputs and
-    # the float32 weights, and no block inputs; input_vjp on it is input_vjp
-    # on the float32 forward(keep=True) cache that training keeps, bit for bit
+    # a guided step's cache holds each block's SiLU slope and the float32
+    # weights, and nothing else; each slope is _silu_slope of the sigmoid
+    # and SiLU output of the float32 forward(keep=True) pass that training
+    # keeps, and input_vjp on the two caches is equal, bit for bit
     dec, lat = desk_nets
     gen = np.random.default_rng(n + 1)
     xt, z, zt = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal(64)
     v, u = gen.standard_normal((n, 3)), gen.standard_normal(64)
     for net, args, up, rows in ((dec, (xt, z, 0.3), v, n), (lat, (zt, None, 0.3), u, 1)):
         score, cache = net.step_scorer()(*args, keep=True)
-        sigs, acts, weights = cache
+        slopes, weights = cache
         assert weights.dtype == np.float32 and weights.shape == (net.n_params,)
-        assert len(sigs) == len(acts) == net.n_blocks
-        for a in sigs + acts:
+        assert len(slopes) == net.n_blocks
+        for a in slopes:
             assert a.dtype == np.float32 and a.shape == (rows, net.width)
         full_score, full = net._field_forward(*args, params=weights)
-        assert len(full) == 7 and len(full[3]) == net.n_blocks + 1
+        _, _, code, hs, acts, _, ran_on = full
+        assert len(hs) == net.n_blocks + 1 and ran_on is weights
         assert np.array_equal(score, full_score)
-        for kept, ran in zip(sigs + acts, full[4] + full[5]):
-            assert np.array_equal(kept, ran)
+        w = net.width
+        for k, kept in enumerate(slopes):
+            # block k's pre-activation from its cached input, as forward forms it
+            act = hs[k] @ net.layout.view(weights, f"b{k}_w1")[:, :w].T
+            act += (net._p(f"b{k}_w1")[:, w:] @ code + net._p(f"b{k}_b1")).astype(np.float32)
+            sig = _silu_inplace(act)
+            assert np.array_equal(act, acts[k])
+            assert np.array_equal(kept, _silu_slope(sig, act))
         assert np.array_equal(net.input_vjp(*args, up, cache=cache),
                               net.input_vjp(*args, up, cache=full))
+
+
+def test_guided_step_memory_is_one_slope_array_per_block(desk_nets):
+    # one guided exact step at N=2048 (step_scorer with keep=True, then
+    # input_vjp on its cache) holds the n_blocks slopes and a few working
+    # arrays of N x width float32: h, act and sig in the forward pass, dh,
+    # dpre and one matmul result in the VJP
+    dec, _ = desk_nets
+    n = 2048
+    gen = np.random.default_rng(5)
+    xt, z, v = gen.standard_normal((n, 3)), gen.standard_normal(64), gen.standard_normal((n, 3))
+    scorer = dec.step_scorer()
+    scorer(xt, z, 0.3, keep=True)  # warm up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, cache = scorer(xt, z, 0.3, keep=True)
+        dec.input_vjp(xt, z, 0.3, v, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    row_array = 4 * n * dec.width
+    assert peak <= (dec.n_blocks + 4) * row_array + 2**20, (peak, row_array)
 
 
 def test_silu_sigmoid_matches_expit():
@@ -424,6 +458,39 @@ def test_encoder_backward_matches_the_dense_formula(case):
     buf = np.ones(enc.n_params)
     assert enc.backward(cache, dmean, dlogvar, out=buf) is buf
     assert np.array_equal(buf, 1.0 + got)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_encoder_float32_pass_stays_close_to_float64(n):
+    # on a float32 copy of the weights the per-point layers and the pooled
+    # rows run in float32 and pick their own argmax; these clouds have no
+    # near-ties, so every pick agrees with the float64 pass, and the pooled
+    # feature, mean, logvar and the gradient lie within 1e-5, relative, of
+    # that pass's, and come back float64
+    gen = np.random.default_rng(n)
+    enc = PointEncoder(64, rng=gen)
+    enc.params[:] += 0.05 * gen.standard_normal(enc.n_params)
+    weights = enc.params.astype(np.float32)
+
+    def assert_close(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    for _ in range(3):
+        pts = gen.standard_normal((n, 3))
+        dmean, dlogvar = gen.standard_normal(64), gen.standard_normal(64)
+        mean, logvar, cache = enc.forward(pts)
+        got_mean, got_logvar, got_cache = enc.forward(pts, params=weights)
+        assert got_cache[-1] is weights
+        assert all(a.dtype == np.float32 for a in got_cache[:7])
+        # each feature's picked point
+        assert np.array_equal(got_cache[0][got_cache[7]],
+                              cache[0][cache[7]].astype(np.float32))
+        assert_close(got_cache[8], cache[8])
+        assert_close(got_mean, mean)
+        assert_close(got_logvar, logvar)
+        assert_close(enc.backward(got_cache, dmean, dlogvar),
+                     enc.backward(cache, dmean, dlogvar))
 
 
 # ---------------------------------------------------------------- latent

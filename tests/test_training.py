@@ -226,6 +226,49 @@ def test_training_runs_the_decoder_on_a_float32_copy(monkeypatch):
         assert seen[0].dtype == np.float32 and np.array_equal(seen[0], cast)
 
 
+def test_training_runs_the_encoder_on_a_float32_copy(monkeypatch):
+    """train_step casts the encoder's weights to float32 once per batch,
+    beside the decoder's; the gradients _cloud_losses adds with that copy
+    lie within 1e-5, relative, of those it adds with the float64 weights,
+    for all three nets, on a cloud whose pooled rows agree in both."""
+    bundle = build_models(ModelConfig(), seed=0)
+    gen = np.random.default_rng(12)
+    for net in (bundle.encoder, bundle.decoder, bundle.latent):
+        net.params[:] = 0.05 * gen.standard_normal(net.n_params)
+    points = 0.5 * gen.standard_normal((256, 3))
+    caches = [bundle.encoder.forward(points, params=w)[2]
+              for w in (None, bundle.encoder.params.astype(np.float32))]
+    picked = [cache[0][cache[7]].astype(np.float32) for cache in caches]
+    assert np.array_equal(*picked)
+    cfg = TrainConfig()
+    for t in (0.05, 0.5, 1.0):
+        normals = [gen.standard_normal(64), gen.standard_normal((256, 3)),
+                   gen.standard_normal(64)]
+        runs = []
+        for weights in (None, bundle.encoder.params.astype(np.float32)):
+            grads = _zero_grads(bundle)
+            losses = _cloud_losses(bundle, points, SCHEDULE, cfg, FixedRng(t, normals),
+                                   grads, encoder_weights=weights)
+            runs.append((losses, grads))
+        (want_losses, want_grads), (got_losses, got_grads) = runs
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-5)
+        for got, want in zip(got_grads, want_grads):
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    seen = []
+    forward = bundle.encoder.forward
+    monkeypatch.setattr(bundle.encoder, "forward",
+                        lambda *a, **k: seen.append(k["params"]) or forward(*a, **k))
+    opts = make_optimizers(bundle, cfg)
+    for _ in range(2):
+        cast = bundle.encoder.params.astype(np.float32)
+        seen.clear()
+        train_step(bundle, [points, points[::-1]], SCHEDULE, cfg, gen, opts)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].dtype == np.float32 and np.array_equal(seen[0], cast)
+
+
 def test_training_losses_are_the_public_dsm_losses(tiny_bundle):
     """With the float64 weights, the losses _cloud_losses reports are
     recon_dsm_loss and latent_dsm_loss of the same draws, bit for bit, so
@@ -270,12 +313,13 @@ def test_cloud_losses_add_into_the_buffers(tiny_bundle):
 
 def test_train_step_memory_is_bounded_by_the_layouts():
     """A desk-net step holds no per-cloud gradient copy and no full-cloud
-    encoder or decoder cache, runs Adam in blocks, and drops the decoder's
-    float32 weights before Adam: its traced peak stays within the gradient
-    buffers plus the larger of Adam's two block temporaries and the float32
-    weights with either the encoder's forward or one row block's decoder
-    caches. At N=2048 the encoder's full-cloud forward sets the peak; a
-    whole-cloud decoder cache (38 MB) would not fit."""
+    encoder or decoder cache, runs Adam in blocks, and drops the float32
+    weights of the encoder and the decoder before Adam: its traced peak
+    stays within the gradient buffers plus the larger of Adam's two block
+    temporaries and the float32 weights with either the encoder's float32
+    forward or one row block's decoder caches. At N=2048 the encoder's
+    full-cloud forward sets the peak; in float64 (24 MB) it would not fit,
+    and neither would a whole-cloud decoder cache (38 MB)."""
     for n in (256, 2048):
         bundle = build_models(ModelConfig(), seed=0)
         enc, dec, lat = bundle.encoder, bundle.decoder, bundle.latent
@@ -296,22 +340,22 @@ def test_train_step_memory_is_bounded_by_the_layouts():
         rows = min(n, _TRAIN_ROWS)
         accumulators = f8 * (enc.n_params + dec.n_params + lat.n_params)
         adam_temporaries = 2 * f8 * _ADAM_BLOCK
-        decoder_weights = f4 * dec.n_params
-        # hs, sigs and acts: 3 n_blocks + 1 float32 arrays of one row block
+        weights = f4 * (enc.n_params + dec.n_params)
+        # hs, acts and slopes: 3 n_blocks + 1 float32 arrays of one row block
         decoder_cache = f4 * rows * dec.width * (3 * dec.n_blocks + 1)
-        # dh, dpre, the SiLU slope and one matmul result during the backward pass
-        working_rows = 4 * f4 * rows * dec.width
+        # dh, dpre and one matmul result during the backward pass
+        working_rows = 3 * f4 * rows * dec.width
         # pts, s1, h1, s2, h2, s3, h3 at no more than feature_width pooled rows
         fw = enc.feature_width
-        encoder_cache = f8 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
-        # the encoder's forward over every point: h1, s1, h2, s2, h3, s3 and
-        # the copy of h3 that its argmax over the points axis makes
-        encoder_forward = f8 * n * (2 * (fw // 2) + 5 * fw)
+        encoder_cache = f4 * min(n, fw) * (3 + 2 * (fw // 2) + 4 * fw)
+        # the encoder's float32 forward over every point: h1, s1, h2, s2, h3,
+        # s3 and the copy of h3 that its argmax over the points axis makes
+        encoder_forward = f4 * n * (2 * (fw // 2) + 5 * fw)
         bound = (
             accumulators
             + max(adam_temporaries,
-                  decoder_weights
-                  + max(encoder_forward, decoder_cache + encoder_cache + working_rows))
+                  weights + max(encoder_forward,
+                                decoder_cache + encoder_cache + working_rows))
             + 2**20  # small objects
         )
         assert peak <= bound, (n, peak, bound)
