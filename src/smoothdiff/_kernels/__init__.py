@@ -4,12 +4,9 @@ Both kernels reproduce ``_reference`` bit for bit (same squared-distance
 rounding, same (distance, index) neighbour order, same Chamfer value) while
 holding only one block of rows against all points in memory at a time,
 instead of the reference's N x N x 3 difference array and full row sort.
-
-Chamfer computes every squared distance by direct differences, in the
-reference's order. A block's temporaries stay at or under 512 KiB for N up
-to 8192: at N=2048, 1 MiB blocks of direct differences (64 rows) took ten
-times the page faults of 32-row blocks (about 10,400 against 1,100 per
-k-NN graph) and ran 1.5x slower.
+Both screen each block with one K=4 matmul and recompute exactly, by
+direct differences in the reference's order, only what the screen's proven
+rounding bound cannot settle.
 
 k-NN screens with a matmul and rechecks a few candidates exactly. Centre
 the cloud once (P = fl(p - c) for any float centre c). One K=4 matmul,
@@ -47,6 +44,46 @@ candidates' distances as the reference does and picks the first k by
 reference's own key, yields the reference's lists, ties included. On
 smooth clouds exactly k candidates survive per row; exact ties and
 duplicates add a few.
+
+Chamfer screens in float32 and needs only each row's nearest distance. Pool
+both clouds, centre them on one float point and scale by 2^-e, which is
+exact, so that every coordinate is below 1 in magnitude: P~ = fl(p - c)
+2^-e. Round to float32, x = fl32(P~), and take u32 = 2^-24 and a_i = |x_i|.
+One float32 matmul, ``[x_i, 1] . [-2 x_j^T; n_j]`` with n_j =
+fl32(|x_j|^2 - c_j), gives s_ij, and the reference's d_ij, scaled by 2^-2e,
+obeys
+
+    |s_ij + c_j + a_i^2 - d_ij| <= 8 u32 a_i^2 + 13 u32 a_j^2 + 64 eta
+                                <= c_i + c_j,  c = 16 u32 |x|^2 + 2^-120,
+
+to first order in u32, with eta = 2^-126 the smallest normal float32:
+
+- The matmul: a K=4 dot product errs by at most g_4 (2 sum|x_im x_jm| +
+  |n_j|) <= 4 u32 (a_i^2 + 2 a_j^2), and rounding n_j to float32 adds
+  u32 a_j^2 (|x_j|^2 is taken in float64 from the float32 coordinates).
+- The cast: each coordinate moves by at most u32 |P~|, so the exact
+  squared distance of the float32 points is within 2 u32 (a_i + a_j)^2
+  <= 4 u32 (a_i^2 + a_j^2) of that of the scaled points.
+- The centring and the reference's own rounding are float64: 14 u (a_i^2 +
+  a_j^2) with u = 2^-53, as in the k-NN bound, which the constant covers.
+- Underflow: a float32 operand or result below eta may be rounded to a
+  subnormal or flushed, with an absolute error under eta each time. The
+  cast moves the cross term 2 (P~_i - P~_j).(dx_i - dx_j) by at most 24 eta
+  (every |coordinate| < 1), and the products, sums, n_j and flushed
+  operands add at most 20 eta more; 64 eta = 2^-120 is the floor.
+
+The column half c_j sits in n_j, so s_ij + a_i^2 - c_i bounds d_ij from
+below for every column and s_ij + a_i^2 + c_i + 2 c_j from above. Take the
+row's smallest screened value s_ij* and its runner-up. If the runner-up
+exceeds s_ij* by more than 2 (c_i + c_j*), every other column's lower bound
+is above column j*'s upper bound, so j* is the row's unique nearest column
+and its exact distance is the row's minimum. Otherwise the row's nearest
+column has s_ij <= s_ij* + 2 (c_i + c_j*), and the row recomputes every
+column within that margin. The margins are taken in float64, whose rounding
+the room between 8 + 13 and 16 + 16 covers. Each row minimum is the
+reference's, so each mean and the Chamfer value are too. A cloud far wider
+than the other, or a far outlier, widens only its own entries' bounds. On
+smooth clouds well under 1% of rows are rechecked.
 """
 
 import numpy as np
@@ -60,16 +97,25 @@ _SCREEN_C = 32.0
 # At N=256, best of 100 on four clouds, blocks of 128 rows took 0.87-1.28 ms,
 # 64 rows 0.95-1.49 ms and one 256-row block 0.92-1.74 ms.
 _KNN_MOST_ROWS = 128
+# Chamfer's screen bound is c = _CHAMFER_C * _U32 * |x|^2 + _CHAMFER_FLOOR per
+# point in the scaled frame; the module docstring derives it.
+_U32 = np.finfo(np.float32).eps / 2
+_CHAMFER_C = 16.0
+_CHAMFER_FLOOR = 2.0**-120
+# One block for N <= 256, where per-call overhead dominates; at N=2048 the
+# 64-row blocks this allows ran faster than 32 or 128 rows.
+_CHAMFER_MOST_ROWS = 256
 
 
-def _block_rows(n, most=64):
+def _block_rows(n, most, itemsize=8):
     """Rows of a distance block computed at once against n columns.
 
-    Each temporary is that many rows x n: 8 to `most` rows, at most 65536
-    entries (512 KiB of float64) unless n exceeds 8192. Chamfer takes the
-    default; the k-NN screen takes _KNN_MOST_ROWS.
+    A block holds 8 to `most` rows of n entries of itemsize bytes, at most
+    512 KiB unless eight rows exceed it. The k-NN screen takes float64
+    blocks of up to _KNN_MOST_ROWS rows, Chamfer float32 blocks of up to
+    _CHAMFER_MOST_ROWS.
     """
-    return max(8, min(most, 65536 // max(n, 1)))
+    return max(8, min(most, (1 << 19) // (itemsize * max(n, 1))))
 
 
 def backend_name():
@@ -156,16 +202,88 @@ def knn_neighbors(points, k):
     return out
 
 
+def _sqdist_pairs(a, b):
+    """Squared distance from each row of a to the same row of b, both (k, 3),
+    accumulated as (dx*dx + dy*dy) + dz*dz like the reference."""
+    d = a - b
+    d *= d
+    out = d[:, 0] + d[:, 1]
+    out += d[:, 2]
+    return out
+
+
+def _chamfer_screen(p, q):
+    """Float32 screen operands of the rows of p, then q, in one frame.
+
+    The pooled points are centred on their mean and scaled by 2**-exp, so
+    that every coordinate is below 1 in magnitude; x is that frame rounded
+    to float32. Returns lhs (n, 4) = [x, 1] and rhs (4, n) = [-2 x^T;
+    |x|^2 - c] in float32, c (n,) the module docstring's float64 bound
+    c = _CHAMFER_C u32 |x|^2 + _CHAMFER_FLOOR, and exp.
+    """
+    cen = np.concatenate((p, q))
+    cen -= cen.mean(axis=0)
+    exp = int(np.frexp(np.abs(cen).max())[1])
+    lhs = np.ones((len(cen), 4), dtype=np.float32)
+    lhs[:, :3] = np.ldexp(cen, -exp)
+    x = lhs[:, :3]
+    sq = np.einsum("ij,ij->i", x, x, dtype=np.float64)
+    c = (_CHAMFER_C * _U32) * sq + _CHAMFER_FLOOR
+    rhs = np.empty((4, len(cen)), dtype=np.float32)
+    np.multiply(x.T, -2.0, out=rhs[:3])
+    rhs[3] = sq - c
+    return lhs, rhs, c, exp
+
+
+def _nearest_sqdist(pts, lhs, c, other, rhs, c_other):
+    """Each row of pts's squared distance to its nearest row of other.
+
+    Equal, bit for bit, to the row minima of the reference's squared
+    distances. lhs and c are the rows' screen operands and bounds, rhs and
+    c_other the columns'; the module docstring shows why each row's minimum
+    is among the columns it recomputes.
+    """
+    n, m = len(pts), len(other)
+    rows = _block_rows(m, _CHAMFER_MOST_ROWS, 4)
+    buf = np.empty((min(rows, n), m), dtype=np.float32)
+    offsets = np.arange(len(buf)) * m
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        s = np.matmul(lhs[start:stop], rhs, out=buf[:stop - start])
+        pick = s.argmin(axis=1)
+        flat = s.reshape(-1)
+        at = offsets[:stop - start] + pick
+        low = flat[at]
+        flat[at] = np.inf
+        # The runner-up by a second argmin: a min reduction over short rows
+        # is several times slower.
+        runner_up = flat[offsets[:stop - start] + s.argmin(axis=1)]
+        margin = 2.0 * (c[start:stop] + c_other[pick])
+        todo = np.flatnonzero(np.subtract(runner_up, low, dtype=np.float64) <= margin)
+        block = pts[start:stop]
+        d = out[start:stop]
+        d[:] = _sqdist_pairs(block, other[pick])
+        if todo.size:
+            # Rows whose runner-up lies within the margin recompute every
+            # other column inside it.
+            row, col = np.divmod(np.flatnonzero(s[todo] <= (low[todo] + margin[todo])[:, None]), m)
+            row = todo[row]
+            np.minimum.at(d, row, _sqdist_pairs(block[row], other[col]))
+    return out
+
+
 def chamfer(p, q):
-    """Symmetric squared-distance Chamfer between two point sets."""
+    """Symmetric squared-distance Chamfer between two point sets.
+
+    Equal, bit for bit, to ``_reference.chamfer`` for finite points whose
+    squared distances do not overflow: each direction's row minima are the
+    reference's, averaged the same way.
+    """
     p = np.ascontiguousarray(p, dtype=np.float64)
-    qt = np.ascontiguousarray(np.asarray(q, dtype=np.float64).T)
-    row_min = np.empty(p.shape[0])
-    col_min = np.full(qt.shape[1], np.inf)
-    rows = _block_rows(qt.shape[1])
-    for start in range(0, p.shape[0], rows):
-        stop = min(start + rows, p.shape[0])
-        d2 = _sqdist_rows(p[start:stop], qt)
-        d2.min(axis=1, out=row_min[start:stop])
-        np.minimum(col_min, d2.min(axis=0), out=col_min)
-    return float(row_min.mean() + col_min.mean())
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    n = len(p)
+    lhs, rhs, c, _ = _chamfer_screen(p, q)
+    to_q = _nearest_sqdist(p, lhs[:n], c[:n], q, rhs[:, n:], c[n:])
+    to_p = _nearest_sqdist(q, lhs[n:], c[n:], p, rhs[:, :n], c[:n])
+    return float(to_q.mean() + to_p.mean())
