@@ -277,8 +277,8 @@ def chamfer(p, q):
     """Symmetric squared-distance Chamfer between two point sets.
 
     Equal, bit for bit, to ``_reference.chamfer`` for finite points whose
-    squared distances do not overflow: each direction's row minima are the
-    reference's, averaged the same way.
+    squared distances neither overflow nor underflow float64: each
+    direction's row minima are the reference's, averaged the same way.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
